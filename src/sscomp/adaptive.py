@@ -98,8 +98,8 @@ class KArray:
 def gram_matrix(x: DataMatrix) -> np.ndarray:
     """X^T X of unit-norm columns: entry (i, j) is the cosine of the angle
     between points i and j. Computed once and shared read-only, both for
-    budget selection and as the first-iteration correlations of the greedy
-    solver."""
+    budget selection and for the greedy solver, whose correlation updates
+    read its rows. An N x N float64 array: 8 N^2 bytes."""
     if not x.unit_normalized:
         raise ValueError("gram_matrix requires unit-normalized columns")
     g = x.values.T @ x.values

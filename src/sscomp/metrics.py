@@ -130,19 +130,22 @@ def connectivity(a: AffinityMatrix, truth: Labels) -> float:
     return worst
 
 
+def _wrong_cluster_entries(c: CoefMatrix, truth: Labels):
+    """Column index of every stored nonzero, and whether its row lies in
+    another ground-truth cluster than its column."""
+    if truth.n != c.n:
+        raise ValueError(f"labels cover {truth.n} points, coefficients have {c.n}")
+    m = c.matrix
+    column = np.repeat(np.arange(c.n), np.diff(m.indptr))
+    return column, truth.assignments[m.indices] != truth.assignments[column]
+
+
 def subspace_preserving_rate(c: CoefMatrix, truth: Labels) -> float:
     """Percentage of points whose representation stays inside their own
     cluster: every nonzero of column i must sit on a row with the same
     ground-truth label. All-zero columns preserve vacuously."""
-    if truth.n != c.n:
-        raise ValueError(f"labels cover {truth.n} points, coefficients have {c.n}")
-    kept = 0
-    for i in range(c.n):
-        support, _ = c.column(i)
-        if support.size == 0 or np.all(
-            truth.assignments[support] == truth.assignments[i]
-        ):
-            kept += 1
+    column, wrong = _wrong_cluster_entries(c, truth)
+    kept = c.n - int(np.count_nonzero(np.bincount(column[wrong], minlength=c.n)))
     return 100.0 * kept / c.n
 
 
@@ -152,20 +155,12 @@ def subspace_preserving_error(c: CoefMatrix, truth: Labels) -> float:
     Zero exactly when the matrix is subspace-preserving; all-zero columns
     contribute 0.
     """
-    if truth.n != c.n:
-        raise ValueError(f"labels cover {truth.n} points, coefficients have {c.n}")
-    total = 0.0
-    for i in range(c.n):
-        support, values = c.column(i)
-        if support.size == 0:
-            continue
-        mass = np.abs(values)
-        l1 = float(mass.sum())
-        if l1 <= 0.0:
-            continue
-        wrong = float(mass[truth.assignments[support] != truth.assignments[i]].sum())
-        total += wrong / l1
-    return 100.0 * total / c.n
+    column, wrong = _wrong_cluster_entries(c, truth)
+    mass = np.abs(c.matrix.data)
+    l1 = np.bincount(column, weights=mass, minlength=c.n)
+    off = np.bincount(column[wrong], weights=mass[wrong], minlength=c.n)
+    spent = l1 > 0.0
+    return 100.0 * float((off[spent] / l1[spent]).sum()) / c.n
 
 
 def sea_ratio(c: CoefMatrix) -> float:

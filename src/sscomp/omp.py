@@ -6,6 +6,13 @@ the current residual, re-fit by least squares on the active set, and stop on
 a sparsity budget or when the residual norm drops below a threshold. Stacking
 the per-point coefficient vectors gives the self-expressive matrix C with a
 zero diagonal.
+
+Self-expression runs on the Gram matrix X^T X: after the first step, the
+correlations are updated from Gram rows at O(N t) per step (t atoms
+selected so far) instead of recomputing X^T r at O(d N), the idea behind
+Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008). Both methods therefore
+hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB at
+N=2000, 3.2 GB at N=20000.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from .adaptive import KArray
+from .adaptive import KArray, gram_matrix
 from .data import DataMatrix
 
 __all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
@@ -128,33 +135,42 @@ class CoefMatrix:
 
 
 def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
-            exclude: int | None = None, corr0: np.ndarray | None = None):
+            exclude: int | None = None, gram: np.ndarray | None = None):
     """Core OMP loop over the columns of ``atoms``.
 
     The active-set least squares is maintained through an incrementally
     grown QR factorization with one reorthogonalization pass, so the
-    residual update per iteration is a single rank-1 deflation. ``exclude``
-    masks one atom out of selection (the point itself in self-expression);
-    ``corr0`` optionally supplies the first-iteration correlations, which
-    for a unit-norm target are a precomputed Gram column.
+    residual update per iteration is a single rank-1 deflation by the new
+    direction q_t. The correlations X^T r take the same deflation by the
+    row X^T q_t, which is formed from the selected atom's Gram row in
+    O(N t); X^T r itself is never recomputed. ``gram`` supplies those rows
+    as a precomputed X^T X; without it each row is computed from ``atoms``
+    at O(d N). ``exclude`` masks one atom out of selection (the point
+    itself in self-expression). Passing ``gram`` states that the target is
+    that excluded atom, so the first correlations are its Gram row.
 
     Returns (support, coefficients) with entries in selection order.
     """
     dim, n_atoms = atoms.shape
     cap = min(budget, n_atoms if exclude is None else n_atoms - 1)
     support = np.empty(cap, dtype=np.int64)
-    q = np.empty((dim, cap))
+    # row-major: q[t] and xq[t] = atoms.T @ q[t] are contiguous rows
+    q = np.empty((cap, dim))
+    xq = np.empty((cap, n_atoms))
     r_upper = np.zeros((cap, cap))
     qty = np.empty(cap)
     blocked = np.zeros(n_atoms, dtype=bool)
     if exclude is not None:
         blocked[exclude] = True
     residual = np.array(target, dtype=np.float64)
+    if gram is not None:
+        corr = np.array(gram[exclude], dtype=np.float64)
+    else:
+        corr = atoms.T @ residual
 
     t = 0
     if np.linalg.norm(residual) >= eps:
         while t < cap:
-            corr = corr0 if t == 0 and corr0 is not None else atoms.T @ residual
             mag = np.abs(corr)
             mag[blocked] = -np.inf
             j = int(np.argmax(mag))
@@ -162,12 +178,12 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
                 break
             atom = atoms[:, j]
             if t:
-                head = q[:, :t]
-                proj = head.T @ atom
-                w = atom - head @ proj
+                head = q[:t]
+                proj = head @ atom
+                w = atom - proj @ head
                 # one reorthogonalization pass keeps q orthonormal to ~1e-15
-                second = head.T @ w
-                w -= head @ second
+                second = head @ w
+                w -= second @ head
                 proj += second
             else:
                 proj = None
@@ -180,13 +196,17 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
                 t += 1
                 coefs, *_ = np.linalg.lstsq(atoms[:, support[:t]], target, rcond=None)
                 return support[:t].copy(), coefs
+            row = gram[j] if gram is not None else atoms.T @ atom
             if proj is not None:
                 r_upper[:t, t] = proj
+                row = row - proj @ xq[:t]
             r_upper[t, t] = w_norm
-            q[:, t] = w / w_norm
-            step = float(q[:, t] @ residual)
+            q[t] = w / w_norm
+            xq[t] = row / w_norm
+            step = float(q[t] @ residual)
             qty[t] = step
-            residual -= step * q[:, t]
+            residual -= step * q[t]
+            corr -= step * xq[t]
             blocked[j] = True
             support[t] = j
             t += 1
@@ -222,14 +242,14 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
 
 def _self_expression(x: DataMatrix, budgets: np.ndarray, eps: float,
                      gram: np.ndarray | None) -> CoefMatrix:
+    if gram is None:
+        gram = gram_matrix(x)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     for i in range(x.n):
-        corr0 = gram[:, i] if gram is not None else None
         support, coefs = _greedy(
-            x.values, x.values[:, i], int(budgets[i]), eps,
-            exclude=i, corr0=corr0,
+            x.values, x.values[:, i], int(budgets[i]), eps, exclude=i, gram=gram
         )
         rows.append(support)
         cols.append(np.full(support.size, i, dtype=np.int64))
@@ -251,8 +271,9 @@ def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6,
     """Self-expression with a uniform budget: column i of the result codes
     point i over all other points with at most k atoms.
 
-    ``gram`` may pass a precomputed X^T X whose columns then serve as the
-    first-iteration correlations for every solve.
+    The solver reads the Gram X^T X for every correlation update; ``gram``
+    may pass a precomputed one (from :func:`gram_matrix`), otherwise it is
+    computed here and held for the call, 8 N^2 bytes.
     """
     _check_self_expression_args(x, eps)
     if not 1 <= k <= x.n - 2:
@@ -264,7 +285,8 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
                      gram: np.ndarray | None = None) -> CoefMatrix:
     """Self-expression with per-point budgets: column i may use up to
     ``k_array.sizes[i]`` atoms. With uniform budgets this reduces exactly to
-    :func:`ssc_omp`."""
+    :func:`ssc_omp`. ``gram`` is read as in :func:`ssc_omp`; passing the
+    one used for budget selection avoids forming it twice."""
     _check_self_expression_args(x, eps)
     if k_array.n != x.n:
         raise ValueError(

@@ -211,6 +211,32 @@ class TestSscOmp:
         assert cols_a.tolist() == cols_b.tolist()
         np.testing.assert_allclose(vals_a, vals_b, atol=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_tall_data_long_budgets_match_reference(self, eps):
+        # faces-like shape, d >> N: noisy points near 6-dim subspaces, with
+        # budgets past the subspace dimension so most steps run on the
+        # Gram-space correlation updates
+        rng = np.random.default_rng(17)
+        bases = [random_orthogonal(400, 30 + s)[:, :6] for s in range(4)]
+        values = np.hstack([b @ rng.standard_normal((6, 10)) for b in bases])
+        values += 0.05 * rng.standard_normal(values.shape)
+        x = normalize_columns(DataMatrix(values))
+        sizes = rng.integers(1, 13, size=x.n)
+        for c, budgets in (
+            (ssc_omp(x, 12, eps), np.full(x.n, 12)),
+            (ssc_omp_adaptive(x, KArray(sizes, 6), eps), sizes),
+        ):
+            for i in range(x.n):
+                ref_support, ref_coefs = omp_reference(
+                    x.values, x.values[:, i], int(budgets[i]), eps, exclude=i
+                )
+                support, coefs = c.column(i)
+                order = np.argsort(ref_support)
+                assert support.tolist() == np.asarray(ref_support)[order].tolist()
+                np.testing.assert_allclose(
+                    coefs, np.asarray(ref_coefs)[order], atol=1e-9
+                )
+
     def test_subspace_preserving_on_orthogonal_subspaces(self, oracle_dataset):
         x, y = oracle_dataset
         c = ssc_omp(x, 8, 1e-6)
