@@ -21,29 +21,27 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adaptive import compute_k_array
 from .data import (
     SyntheticSpec,
     add_gaussian_noise,
     blend_gaussian_noise,
     generate_synthetic,
-    load_csv,
-    load_npz,
     normalize_columns,
     save_csv,
     save_labels,
     save_npz,
 )
 from .experiment import (
+    _AXIS_TO_COLUMN,
     METHODS,
     ExperimentConfig,
     ExperimentError,
     SweepSpec,
-    aggregate_reports,
     compare,
     dataset_id,
+    load_data_file,
+    mean_metrics,
     read_aggregate_csv,
     run_sweep,
     run_trial_detailed,
@@ -119,15 +117,6 @@ def _experiment_config(args, method: str | None = None) -> ExperimentConfig:
     )
 
 
-def _load_matrix(path: str, has_labels: bool):
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"dataset not found: {p}")
-    if p.suffix == ".npz":
-        return load_npz(p, has_labels=has_labels)
-    return load_csv(p, has_labels=has_labels)
-
-
 def _print_report_line(label: str, values: dict) -> None:
     print(
         f"{label}: accr={values['accr']:.2f} time={values['time']:.3f}s "
@@ -146,14 +135,7 @@ def _cmd_cluster(args) -> int:
         save_labels(predicted, args.labels_out)
     else:
         reports = run_trials(cfg, workers=args.workers)
-    mean = {
-        "accr": float(np.mean([r.accr for r in reports])),
-        "time": float(np.mean([r.time_seconds for r in reports])),
-        "conn": float(np.mean([r.conn for r in reports])),
-        "perc": float(np.mean([r.perc for r in reports])),
-        "ssr": float(np.mean([r.ssr for r in reports])),
-        "sea": float(np.mean([r.sea for r in reports])),
-    }
+    mean = mean_metrics(reports)
     print(f"dataset: {dataset_id(cfg.dataset)}")
     print(f"method: {cfg.method}  trials: {cfg.trials}")
     for t, report in enumerate(reports):
@@ -203,7 +185,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(base, sweep, out_dir=out_dir, workers=args.workers)
     failures = [row for row in rows if row["error"]]
     for row in rows:
-        tag = f"{axis}={row[_axis_column(axis)]} {row['method']}"
+        tag = f"{axis}={row[_AXIS_TO_COLUMN[axis]]} {row['method']}"
         if row["error"]:
             print(f"{tag}: ERROR {row['error']}")
         else:
@@ -216,11 +198,6 @@ def _cmd_sweep(args) -> int:
         print(f"{len(failures)} sweep rows failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _axis_column(axis: str) -> str:
-    return {"n_clusters": "n", "k": "K",
-            "samples_per_cluster": "samples", "noise_sigma": "sigma"}[axis]
 
 
 def _cmd_compare(args) -> int:
@@ -248,7 +225,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_k_array(args) -> int:
     if args.data:
-        x, _ = _load_matrix(args.data, has_labels=args.has_labels)
+        x, _ = load_data_file(args.data, has_labels=args.has_labels)
     else:
         dataset = _dataset_from_args(args)
         x, _ = generate_synthetic(dataset)
@@ -270,6 +247,13 @@ def _cmd_k_array(args) -> int:
     return 0
 
 
+def _save_data_file(x, out: Path, labels) -> None:
+    if out.suffix == ".npz":
+        save_npz(x, out, labels=labels)
+    else:
+        save_csv(x, out, labels=labels)
+
+
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec(
         n_subspaces=args.subspaces,
@@ -281,24 +265,17 @@ def _cmd_synth(args) -> int:
     )
     x, labels = generate_synthetic(spec)
     out = Path(args.out)
-    saved_labels = None if args.no_labels else labels
-    if out.suffix == ".npz":
-        save_npz(x, out, labels=saved_labels)
-    else:
-        save_csv(x, out, labels=saved_labels)
+    _save_data_file(x, out, None if args.no_labels else labels)
     print(f"wrote {out} ({x.n} points, dim {x.dim}, {labels.n_clusters} clusters)")
     return 0
 
 
 def _cmd_noise(args) -> int:
-    x, labels = _load_matrix(args.input, has_labels=args.has_labels)
+    x, labels = load_data_file(args.input, has_labels=args.has_labels)
     corrupt = add_gaussian_noise if args.noise_mode == "corrupt" else blend_gaussian_noise
     noisy = corrupt(x, args.sigma, args.noise_variance, rng_seed=args.seed)
     out = Path(args.out)
-    if out.suffix == ".npz":
-        save_npz(noisy, out, labels=labels)
-    else:
-        save_csv(noisy, out, labels=labels)
+    _save_data_file(noisy, out, labels)
     print(f"wrote {out} (sigma={args.sigma}, mode={args.noise_mode})")
     return 0
 

@@ -150,6 +150,29 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
+def _raise_first_bad_row(path, body: list[list[str]], start: int, width: int) -> None:
+    """Slow path after the bulk conversion failed: raise for the first row
+    with the wrong field count or a cell that is not a finite number, naming
+    its row (and column). Returns when every row is fine."""
+    for r, row in enumerate(body):
+        line = start + r + 1
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: row {line} has {len(row)} fields, expected {width}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {line}, column {c + 1}: cannot parse {cell.strip()!r} as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{path}: row {line}, column {c + 1}: non-finite value {cell.strip()!r}"
+                )
+
+
 def load_csv(path, has_labels: bool = False):
     """Load a CSV of points (one row per point) into a DataMatrix.
 
@@ -170,25 +193,14 @@ def load_csv(path, has_labels: bool = False):
     if has_labels and width < 2:
         raise ValueError(f"{path}: need at least one feature column plus a label column")
 
-    rows = np.empty((len(raw) - start, width))
-    for r, row in enumerate(raw[start:]):
-        line = start + r + 1
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {line} has {len(row)} fields, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line}, column {c + 1}: cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}: row {line}, column {c + 1}: non-finite value {cell.strip()!r}"
-                )
-            rows[r, c] = v
+    body = raw[start:]
+    try:
+        rows = np.array(body, dtype=np.float64)
+    except ValueError:
+        _raise_first_bad_row(path, body, start, width)
+        raise
+    if not np.isfinite(rows).all():
+        _raise_first_bad_row(path, body, start, width)
 
     labels = None
     if has_labels:
@@ -211,13 +223,11 @@ def save_csv(x: DataMatrix, path, labels: Labels | None = None) -> None:
     """Write points as CSV rows (17 significant digits, so values round-trip)."""
     if labels is not None and labels.n != x.n:
         raise ValueError("labels length does not match point count")
+    table, fmt = x.values.T, ["%.17g"] * x.dim
+    if labels is not None:
+        table, fmt = np.column_stack([table, labels.assignments]), fmt + ["%d"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(x.n):
-            row = [f"{v:.17g}" for v in x.values[:, i]]
-            if labels is not None:
-                row.append(str(int(labels.assignments[i])))
-            writer.writerow(row)
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n")
 
 
 def load_npz(path, has_labels: bool = False):
@@ -251,8 +261,7 @@ def save_npz(x: DataMatrix, path, labels: Labels | None = None) -> None:
 def save_labels(labels: Labels, path) -> None:
     """One cluster id per line."""
     with open(path, "w") as fh:
-        for value in labels.assignments:
-            fh.write(f"{int(value)}\n")
+        np.savetxt(fh, labels.assignments, fmt="%d")
 
 
 def load_labels(path) -> Labels:
@@ -306,6 +315,13 @@ def generate_synthetic(spec: SyntheticSpec):
     return normalize_columns(DataMatrix(values)), labels
 
 
+def _check_noise_args(sigma: float, variance: float) -> None:
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"noise rate sigma must be in [0, 1], got {sigma}")
+    if variance <= 0.0:
+        raise ValueError("noise variance must be positive")
+
+
 def _perturbed_values(x: DataMatrix, sigma: float, variance: float, rng):
     """Raw corruption step: pick round(sigma*N) columns and add N(0, variance)
     noise per coordinate. Returns the perturbed (un-normalized) values plus
@@ -327,10 +343,7 @@ def add_gaussian_noise(
     columns, then the whole matrix is re-normalized to unit columns. With
     ``sigma=0`` the result equals ``normalize_columns(x)`` exactly.
     """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"noise rate sigma must be in [0, 1], got {sigma}")
-    if variance <= 0.0:
-        raise ValueError("noise variance must be positive")
+    _check_noise_args(sigma, variance)
     rng = np.random.default_rng(rng_seed)
     perturbed, _ = _perturbed_values(x, sigma, variance, rng)
     return normalize_columns(DataMatrix(perturbed))
@@ -341,10 +354,7 @@ def blend_gaussian_noise(
 ) -> DataMatrix:
     """Alternate corruption reading: every column becomes ``(1-sigma)*x + sigma*noise``,
     re-normalized. ``sigma=0`` again reduces to plain normalization."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"noise rate sigma must be in [0, 1], got {sigma}")
-    if variance <= 0.0:
-        raise ValueError("noise variance must be positive")
+    _check_noise_args(sigma, variance)
     rng = np.random.default_rng(rng_seed)
     if sigma == 0.0:
         return normalize_columns(x)

@@ -14,7 +14,9 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +49,14 @@ __all__ = [
     "ExperimentConfig",
     "SweepSpec",
     "ExperimentError",
+    "load_data_file",
     "load_dataset",
     "run_trial",
     "run_trial_detailed",
     "run_trials",
     "run_sweep",
     "compare",
+    "mean_metrics",
     "aggregate_reports",
     "write_aggregate_csv",
     "read_aggregate_csv",
@@ -83,6 +87,10 @@ _AXIS_TO_COLUMN = {
     "samples_per_cluster": "samples",
     "noise_sigma": "sigma",
 }
+
+# aggregate column (a MetricsReport.to_dict key) -> format of its mean
+_METRIC_FORMATS = {"accr": ".4f", "time": ".6f", "conn": ".6f",
+                   "perc": ".4f", "ssr": ".4f", "sea": ".6f"}
 
 
 class ExperimentError(RuntimeError):
@@ -163,16 +171,22 @@ def dataset_id(dataset) -> str:
     return str(dataset)
 
 
+def load_data_file(path, has_labels: bool = False):
+    """Load a dataset file: an .npz with ``values``/``labels`` arrays, any
+    other suffix as CSV rows. Returns ``(DataMatrix, Labels | None)``."""
+    path = Path(path)
+    if not path.exists():
+        raise ExperimentError(f"dataset not found: {path}")
+    if path.suffix == ".npz":
+        return load_npz(path, has_labels=has_labels)
+    return load_csv(path, has_labels=has_labels)
+
+
 def load_dataset(cfg: ExperimentConfig):
     """Materialize the configured dataset as (DataMatrix, Labels)."""
     if isinstance(cfg.dataset, SyntheticSpec):
         return generate_synthetic(cfg.dataset)
-    path = Path(cfg.dataset)
-    if not path.exists():
-        raise ExperimentError(f"dataset not found: {path}")
-    if path.suffix == ".npz":
-        return load_npz(path, has_labels=True)
-    return load_csv(path, has_labels=True)
+    return load_data_file(cfg.dataset, has_labels=True)
 
 
 def _subsample(x: DataMatrix, y: Labels, cfg: ExperimentConfig, rng):
@@ -285,11 +299,6 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         raise ExperimentError(f"trial failed ({context}): {exc}") from exc
 
 
-def _trial_task(args):
-    cfg, trial = args
-    return run_trial(cfg, trial)
-
-
 def worker_count(explicit: int | None = None) -> int:
     """Worker-pool size: explicit argument, else the SSCOMP_WORKERS
     environment variable, else 1 (serial)."""
@@ -308,17 +317,31 @@ def worker_count(explicit: int | None = None) -> int:
 
 def run_trials(cfg: ExperimentConfig, workers: int | None = None) -> list[MetricsReport]:
     """All cfg.trials trials of one configuration, optionally on a process
-    pool. Trial order in the result is by trial index either way."""
+    pool. The dataset is loaded once, here, and passed to every trial.
+    Trial order in the result is by trial index either way."""
     count = worker_count(workers)
+    data = load_dataset(cfg)
+    trials = range(cfg.trials)
     if count == 1 or cfg.trials == 1:
-        data = load_dataset(cfg)
-        return [run_trial(cfg, t, data=data) for t in range(cfg.trials)]
-    with ProcessPoolExecutor(max_workers=min(count, cfg.trials)) as pool:
-        return list(pool.map(_trial_task, [(cfg, t) for t in range(cfg.trials)]))
+        return [run_trial(cfg, t, data=data) for t in trials]
+    try:
+        with ProcessPoolExecutor(max_workers=min(count, cfg.trials)) as pool:
+            return list(pool.map(run_trial, repeat(cfg), trials, repeat(data)))
+    except BrokenProcessPool as exc:
+        raise ExperimentError(
+            f"worker process died (dataset={dataset_id(cfg.dataset)}, "
+            f"method={cfg.method}, seed={cfg.seed})"
+        ) from exc
 
 
-def aggregate_reports(cfg: ExperimentConfig, reports: list[MetricsReport]) -> dict:
-    """Mean over trials as one aggregate CSV row."""
+def mean_metrics(reports: list[MetricsReport]) -> dict:
+    """Mean of each metric over trials, keyed by its aggregate column."""
+    scores = [r.to_dict() for r in reports]
+    return {m: float(np.mean([s[m] for s in scores])) for m in _METRIC_FORMATS}
+
+
+def _key_fields(cfg: ExperimentConfig) -> dict:
+    """The aggregate columns that identify the run."""
     return {
         "dataset": dataset_id(cfg.dataset),
         "n": cfg.n_clusters,
@@ -328,29 +351,19 @@ def aggregate_reports(cfg: ExperimentConfig, reports: list[MetricsReport]) -> di
         "sigma": f"{cfg.noise_sigma:g}",
         "seed": cfg.seed,
         "method": cfg.method,
-        "accr": f"{np.mean([r.accr for r in reports]):.4f}",
-        "time": f"{np.mean([r.time_seconds for r in reports]):.6f}",
-        "conn": f"{np.mean([r.conn for r in reports]):.6f}",
-        "perc": f"{np.mean([r.perc for r in reports]):.4f}",
-        "ssr": f"{np.mean([r.ssr for r in reports]):.4f}",
-        "sea": f"{np.mean([r.sea for r in reports]):.6f}",
-        "error": "",
     }
+
+
+def aggregate_reports(cfg: ExperimentConfig, reports: list[MetricsReport]) -> dict:
+    """Mean over trials as one aggregate CSV row."""
+    means = mean_metrics(reports)
+    formatted = {m: f"{means[m]:{fmt}}" for m, fmt in _METRIC_FORMATS.items()}
+    return {**_key_fields(cfg), **formatted, "error": ""}
 
 
 def _error_row(cfg: ExperimentConfig, message: str) -> dict:
     row = {col: "" for col in CSV_COLUMNS}
-    row.update(
-        dataset=dataset_id(cfg.dataset),
-        n=cfg.n_clusters,
-        samples="" if cfg.samples_per_cluster is None else cfg.samples_per_cluster,
-        K=cfg.k,
-        eps=f"{cfg.eps:g}",
-        sigma=f"{cfg.noise_sigma:g}",
-        seed=cfg.seed,
-        method=cfg.method,
-        error=message,
-    )
+    row.update(_key_fields(cfg), error=message)
     return row
 
 
@@ -425,7 +438,7 @@ def write_plot_csv(rows: list[dict], path, axis: str = "noise_sigma") -> None:
         for row in rows:
             if row["error"]:
                 continue
-            for metric in ("accr", "time", "conn", "perc", "ssr", "sea"):
+            for metric in _METRIC_FORMATS:
                 writer.writerow([row[x_col], f"{row['method']}.{metric}", row[metric]])
 
 

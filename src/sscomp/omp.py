@@ -55,6 +55,14 @@ class OmpConfig:
             raise ValueError("residual_threshold must be nonnegative")
 
 
+def save_triplets(path, rows, cols, values) -> None:
+    """Write a sparse matrix as CSV: a ``row,col,value`` header, then one
+    line per stored entry (17 significant digits, so values round-trip)."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack([rows, cols, values]), fmt=["%d", "%d", "%.17g"],
+                   delimiter=",", newline="\r\n", header="row,col,value", comments="")
+
+
 @dataclass(frozen=True)
 class CoefMatrix:
     """Sparse N x N self-expression matrix, column i holding the coefficients
@@ -110,12 +118,7 @@ class CoefMatrix:
 
     def save_csv(self, path) -> None:
         """Dump as triplet CSV with a header: row, col, value."""
-        rows, cols, values = self.triplets()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            for r, c, v in zip(rows, cols, values):
-                writer.writerow([int(r), int(c), f"{v:.17g}"])
+        save_triplets(path, *self.triplets())
 
     @classmethod
     def load_csv(cls, path, n: int) -> "CoefMatrix":

@@ -7,7 +7,6 @@ normalized Laplacian of A.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from .data import Labels
-from .omp import CoefMatrix
+from .omp import CoefMatrix, save_triplets
 
 __all__ = [
     "AffinityMatrix",
@@ -62,11 +61,7 @@ class AffinityMatrix:
     def save_csv(self, path) -> None:
         """Triplet dump (row, col, value), one line per stored nonzero."""
         coo = self.values.tocoo()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                writer.writerow([int(r), int(c), f"{v:.17g}"])
+        save_triplets(path, coo.row, coo.col, coo.data)
 
 
 @dataclass(frozen=True)

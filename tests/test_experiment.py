@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from sscomp import DataMatrix, Labels, SyntheticSpec, generate_synthetic
+from sscomp import DataMatrix, Labels, SyntheticSpec, experiment, generate_synthetic
 from sscomp.data import save_csv, save_npz
 from sscomp.experiment import (
     CSV_COLUMNS,
@@ -443,3 +444,39 @@ class TestCompare:
         result = compare(rows, rows)
         assert len(result) == 2
         assert all(r["error"] == "" for r in result)
+
+
+def _die_in_worker(*args, **kwargs):
+    os._exit(1)
+
+
+class TestWorkerPool:
+    def test_pool_path_loads_dataset_once(self, monkeypatch):
+        calls = []
+        real = experiment.load_dataset
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(experiment, "load_dataset", counting)
+        reports = run_trials(small_config(trials=2), workers=2)
+        assert [r.params["trial"] for r in reports] == [0, 1]
+        assert len(calls) == 1
+
+    def test_dead_worker_raises_experiment_error(self, monkeypatch):
+        # the pool sends the patched runner by reference; forked workers
+        # already hold this module, so they call it
+        monkeypatch.setattr(experiment, "run_trial", _die_in_worker)
+        with pytest.raises(ExperimentError, match=r"worker process died.*"
+                           r"dataset=synthetic\[.*method=omp, seed=7"):
+            run_trials(small_config(trials=2), workers=2)
+
+    def test_dead_worker_becomes_error_row(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiment, "run_trial", _die_in_worker)
+        rows = run_sweep(small_config(trials=2), SweepSpec("k", (3,)),
+                         out_dir=tmp_path, workers=2)
+        assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
+        assert all("worker process died" in r["error"] for r in rows)
+        written = read_aggregate_csv(tmp_path / "aggregate.csv")
+        assert [r["error"] for r in written] == [r["error"] for r in rows]
