@@ -224,11 +224,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_k_array(args) -> int:
-    if args.data:
-        x, _ = load_data_file(args.data, has_labels=args.has_labels)
-    else:
-        dataset = _dataset_from_args(args)
+    dataset = _dataset_from_args(args)
+    if isinstance(dataset, SyntheticSpec):
         x, _ = generate_synthetic(dataset)
+    else:
+        x, _ = load_data_file(dataset, has_labels=args.has_labels)
     x = normalize_columns(x)
     budgets = compute_k_array(x, args.k)
     lines = ["index,size"]

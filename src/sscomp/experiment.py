@@ -320,7 +320,12 @@ def run_trials(cfg: ExperimentConfig, workers: int | None = None) -> list[Metric
     pool. The dataset is loaded once, here, and passed to every trial.
     Trial order in the result is by trial index either way."""
     count = worker_count(workers)
-    data = load_dataset(cfg)
+    context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
+               f"seed={cfg.seed}")
+    try:
+        data = load_dataset(cfg)
+    except (ValueError, OSError) as exc:
+        raise ExperimentError(f"dataset failed to load ({context}): {exc}") from exc
     trials = range(cfg.trials)
     if count == 1 or cfg.trials == 1:
         return [run_trial(cfg, t, data=data) for t in trials]
@@ -328,10 +333,7 @@ def run_trials(cfg: ExperimentConfig, workers: int | None = None) -> list[Metric
         with ProcessPoolExecutor(max_workers=min(count, cfg.trials)) as pool:
             return list(pool.map(run_trial, repeat(cfg), trials, repeat(data)))
     except BrokenProcessPool as exc:
-        raise ExperimentError(
-            f"worker process died (dataset={dataset_id(cfg.dataset)}, "
-            f"method={cfg.method}, seed={cfg.seed})"
-        ) from exc
+        raise ExperimentError(f"worker process died ({context})") from exc
 
 
 def mean_metrics(reports: list[MetricsReport]) -> dict:

@@ -7,12 +7,16 @@ a sparsity budget or when the residual norm drops below a threshold. Stacking
 the per-point coefficient vectors gives the self-expressive matrix C with a
 zero diagonal.
 
-Self-expression runs on the Gram matrix X^T X: after the first step, the
-correlations are updated from Gram rows at O(N t) per step (t atoms
-selected so far) instead of recomputing X^T r at O(d N), the idea behind
-Batch-OMP (Rubinstein, Zibulevsky & Elad, 2008). Both methods therefore
-hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB at
-N=2000, 3.2 GB at N=20000.
+The loop runs on the Gram matrix X^T X alone, as Batch-OMP does
+(Rubinstein, Zibulevsky & Elad, 2008): it never forms the active set's
+orthonormal basis q_t in X-space, only its image X^T q_t, one length-N row
+per selected atom. The correlations X^T r, the squared residual norm and
+the triangular factor of the active set all follow from those rows and
+Gram rows at O(N t) per step (t atoms selected so far). Both methods
+therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
+at N=2000, 3.2 GB at N=20000. The rank test bounds the squared distance
+of a candidate atom from the active span, because in Gram space only the
+square is formed and it carries ~1e-16 absolute rounding.
 """
 
 from __future__ import annotations
@@ -32,8 +36,11 @@ __all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"
 # below this, the best remaining |correlation| is numerical dust: selecting
 # would add atoms with ~zero coefficients forever
 ZERO_CORRELATION = 1e-14
-# below this, the candidate atom lies in the span of the active set
+# below this squared distance from the active span (w < 1e-6), the
+# candidate atom lies in that span
 RANK_TOL = 1e-12
+# coefficients at or below this fraction of |target| are rounding dust
+COEF_DUST = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,87 +146,80 @@ class CoefMatrix:
 
 def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
             exclude: int | None = None, gram: np.ndarray | None = None):
-    """Core OMP loop over the columns of ``atoms``.
+    """Core OMP loop over the columns of ``atoms``, run on Gram rows only.
 
-    The active-set least squares is maintained through an incrementally
-    grown QR factorization with one reorthogonalization pass, so the
-    residual update per iteration is a single rank-1 deflation by the new
-    direction q_t. The correlations X^T r take the same deflation by the
-    row X^T q_t, which is formed from the selected atom's Gram row in
-    O(N t); X^T r itself is never recomputed. ``gram`` supplies those rows
-    as a precomputed X^T X; without it each row is computed from ``atoms``
-    at O(d N). ``exclude`` masks one atom out of selection (the point
-    itself in self-expression). Passing ``gram`` states that the target is
-    that excluded atom, so the first correlations are its Gram row.
+    The active set's orthonormal basis q_0..q_{t-1} is never formed in
+    X-space; the loop holds its image ``xq[s] = atoms.T @ q_s`` instead,
+    which is all it reads. For a candidate atom j, ``xq[:t, j]`` is its
+    projection onto the basis and ``G[j, j] - |xq[:t, j]|^2`` its squared
+    distance w^2 from the active span, so each step costs O(N t): the new
+    row ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the
+    correlations X^T r, and the squared residual norm drops by
+    ``(corr[j] / w)^2``. ``gram`` supplies the rows G[j] as a precomputed
+    X^T X; without it each row is computed from ``atoms`` at O(d N).
+    ``exclude`` masks one atom out of selection (the point itself in
+    self-expression). Passing ``gram`` states that the target is that
+    excluded atom, so the first correlations are its Gram row.
+
+    ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
+    entries and carries ~1e-16 absolute rounding, so an atom with w below
+    1e-6 is taken to lie in the active span and the fit falls back to a
+    minimum-norm least squares on ``atoms``. Coefficients at or below
+    ``COEF_DUST * |target|`` are rounding dust of an exact fit and are
+    dropped at both exits.
 
     Returns (support, coefficients) with entries in selection order.
     """
-    dim, n_atoms = atoms.shape
+    n_atoms = atoms.shape[1]
     cap = min(budget, n_atoms if exclude is None else n_atoms - 1)
     support = np.empty(cap, dtype=np.int64)
-    # row-major: q[t] and xq[t] = atoms.T @ q[t] are contiguous rows
-    q = np.empty((cap, dim))
+    # row-major, so xq[t] is a contiguous row
     xq = np.empty((cap, n_atoms))
     r_upper = np.zeros((cap, cap))
     qty = np.empty(cap)
     blocked = np.zeros(n_atoms, dtype=bool)
     if exclude is not None:
         blocked[exclude] = True
-    residual = np.array(target, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    res2 = float(target @ target)
+    dust = COEF_DUST * np.sqrt(res2)
     if gram is not None:
         corr = np.array(gram[exclude], dtype=np.float64)
     else:
-        corr = atoms.T @ residual
+        corr = atoms.T @ target
 
     t = 0
-    if np.linalg.norm(residual) >= eps:
-        while t < cap:
-            mag = np.abs(corr)
-            mag[blocked] = -np.inf
-            j = int(np.argmax(mag))
-            if mag[j] < ZERO_CORRELATION:
-                break
-            atom = atoms[:, j]
-            if t:
-                head = q[:t]
-                proj = head @ atom
-                w = atom - proj @ head
-                # one reorthogonalization pass keeps q orthonormal to ~1e-15
-                second = head @ w
-                w -= second @ head
-                proj += second
-            else:
-                proj = None
-                w = atom.astype(np.float64, copy=True)
-            w_norm = float(np.linalg.norm(w))
-            if w_norm < RANK_TOL:
-                # atom numerically inside span(active set): no triangular
-                # system exists, fall back to a minimum-norm fit
-                support[t] = j
-                t += 1
-                coefs, *_ = np.linalg.lstsq(atoms[:, support[:t]], target, rcond=None)
-                return support[:t].copy(), coefs
-            row = gram[j] if gram is not None else atoms.T @ atom
-            if proj is not None:
-                r_upper[:t, t] = proj
-                row = row - proj @ xq[:t]
-            r_upper[t, t] = w_norm
-            q[t] = w / w_norm
-            xq[t] = row / w_norm
-            step = float(q[t] @ residual)
-            qty[t] = step
-            residual -= step * q[t]
-            corr -= step * xq[t]
-            blocked[j] = True
-            support[t] = j
+    coefs = None
+    while t < cap and res2 >= eps * eps:
+        mag = np.abs(corr)
+        mag[blocked] = -np.inf
+        j = int(np.argmax(mag))
+        if mag[j] < ZERO_CORRELATION:
+            break
+        row = gram[j] if gram is not None else atoms.T @ atoms[:, j]
+        proj = xq[:t, j]
+        w2 = float(row[j] - proj @ proj)
+        support[t] = j
+        if w2 < RANK_TOL:
+            # atom numerically inside span(active set): no triangular
+            # system exists, fall back to a minimum-norm fit
             t += 1
-            if np.linalg.norm(residual) < eps:
-                break
-
-    if t == 0:
-        return support[:0].copy(), np.empty(0)
-    coefs = solve_triangular(r_upper[:t, :t], qty[:t])
-    return support[:t].copy(), coefs
+            coefs, *_ = np.linalg.lstsq(atoms[:, support[:t]], target, rcond=None)
+            break
+        w = np.sqrt(w2)
+        r_upper[:t, t] = proj
+        r_upper[t, t] = w
+        xq[t] = (row - proj @ xq[:t]) / w
+        step = corr[j] / w
+        qty[t] = step
+        corr -= step * xq[t]
+        res2 -= step * step
+        blocked[j] = True
+        t += 1
+    if coefs is None:
+        coefs = solve_triangular(r_upper[:t, :t], qty[:t])
+    keep = np.abs(coefs) > dust
+    return support[:t][keep], coefs[keep]
 
 
 def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.ndarray:

@@ -190,6 +190,13 @@ class TestKArray:
         assert code == 0
         assert out.startswith("index,size")
 
+    def test_data_and_synth_conflict(self, capsys):
+        code, _, err = run(
+            capsys, "k-array", "--data", "x.csv", "--synth", SYNTH, "--k", "3"
+        )
+        assert code == 1
+        assert "exactly one" in err
+
 
 class TestSynthAndNoise:
     def test_synth_writes_csv(self, capsys, tmp_path):

@@ -480,3 +480,26 @@ class TestWorkerPool:
         assert all("worker process died" in r["error"] for r in rows)
         written = read_aggregate_csv(tmp_path / "aggregate.csv")
         assert [r["error"] for r in written] == [r["error"] for r in rows]
+
+
+class TestUnreadableDataset:
+    @pytest.fixture
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,0.5,0\n0.25,oops,1\n")
+        return path
+
+    def test_load_failure_names_the_run(self, bad_csv):
+        with pytest.raises(ExperimentError, match=r"dataset failed to load "
+                           r"\(dataset=.*bad\.csv, method=omp, seed=7\).*"
+                           r"row 2, column 2"):
+            run_trials(small_config(dataset=str(bad_csv)), workers=1)
+
+    def test_sweep_records_error_rows(self, bad_csv, tmp_path):
+        out = tmp_path / "out"
+        rows = run_sweep(small_config(dataset=str(bad_csv)), SweepSpec("k", (3,)),
+                         out_dir=out, workers=1)
+        assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
+        assert all("dataset failed to load" in r["error"] for r in rows)
+        written = read_aggregate_csv(out / "aggregate.csv")
+        assert [r["error"] for r in written] == [r["error"] for r in rows]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import omp_reference
 
 from sscomp import DataMatrix, normalize_columns
@@ -148,6 +150,62 @@ class TestOmpSolve:
         residual = target - atoms[:, support] @ coefs
         # no worse than stopping before the degenerate atom
         assert np.linalg.norm(residual) <= 0.51
+
+    def test_squared_distance_bound_falls_back(self, monkeypatch):
+        # the near-duplicate lies 1e-9 from the active span: above RANK_TOL
+        # as a distance, below it as the squared distance the Gram-space
+        # loop measures, so the solve must take the least-squares exit
+        calls = []
+        real = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        e1, e2, e3 = np.eye(4)[:, 0], np.eye(4)[:, 1], np.eye(4)[:, 2]
+        near_dup = e1 + 1e-9 * e3
+        near_dup /= np.linalg.norm(near_dup)
+        atoms = np.stack([near_dup, e2, e1], axis=1)
+        target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
+        target /= np.linalg.norm(target)
+        support, coefs = _greedy(atoms, target, 3, 0.0)
+        assert len(calls) == 1
+        assert 2 in support.tolist() and support.size == 3
+        assert np.isfinite(coefs).all()
+        residual = target - atoms[:, support] @ coefs
+        assert np.linalg.norm(residual) <= 0.51
+
+    def test_rounding_dust_dropped(self):
+        # the target is exactly e1 + e2 (scaled), so after all three atoms
+        # the first one's coefficient is rounding dust, not a real weight
+        e1, e2, e3 = np.eye(3)
+        tilted = e1 + e2 + 0.3 * e3
+        atoms = np.stack([tilted / np.linalg.norm(tilted), e1, e2], axis=1)
+        target = (e1 + e2) / np.sqrt(2.0)
+        support, coefs = _greedy(atoms, target, 3, 0.0)
+        assert sorted(support.tolist()) == [1, 2]
+        np.testing.assert_allclose(coefs, [1 / np.sqrt(2.0)] * 2, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_atoms=st.integers(2, 30),
+        budget=st.integers(1, 8),
+        extra_dim=st.integers(2, 12),
+        eps=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_gram_rows_match_reference(self, seed, n_atoms, budget, extra_dim, eps):
+        rng = np.random.default_rng(seed)
+        atoms = rng.standard_normal((budget + extra_dim, n_atoms))
+        atoms /= np.linalg.norm(atoms, axis=0)
+        i = int(rng.integers(n_atoms))
+        target = atoms[:, i]
+        ref_support, ref_coefs = omp_reference(atoms, target, budget, eps, exclude=i)
+        for gram in (None, atoms.T @ atoms):
+            support, coefs = _greedy(atoms, target, budget, eps, exclude=i, gram=gram)
+            assert support.tolist() == ref_support
+            np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
 
 
 class TestSscOmp:
