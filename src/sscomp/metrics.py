@@ -104,7 +104,7 @@ def _fiedler_value(sub: sparse.csr_array) -> float:
         return 0.0
     if sparse.csgraph.connected_components(sub, directed=False, return_labels=False) > 1:
         return 0.0
-    lap = normalized_laplacian(AffinityMatrix(sub))
+    lap = normalized_laplacian(AffinityMatrix(sub)).toarray()
     value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
     return max(value, 0.0)
 

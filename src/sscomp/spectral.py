@@ -7,11 +7,14 @@ normalized Laplacian of A.
 
 from __future__ import annotations
 
+import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import lobpcg
 from scipy.spatial.distance import cdist
 
 from .data import Labels
@@ -24,6 +27,18 @@ __all__ = [
     "normalized_laplacian",
     "spectral_cluster",
 ]
+
+logger = logging.getLogger("sscomp")
+
+# The residual check on LOBPCG's output: on the normalized Laplacian
+# (spectrum in [0, 2]) it keeps the embedding within RESIDUAL_TOL / eigengap
+# of the exact invariant subspace. LOBPCG itself is asked for 100x more:
+# on a multiple eigenvalue 0 its residual block loses rank and it stops
+# early, short of its own tolerance.
+RESIDUAL_TOL = 1e-6
+LOBPCG_TOL = 1e-8
+LOBPCG_MAXITER = 200
+START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -88,20 +103,87 @@ def build_affinity(c: CoefMatrix) -> AffinityMatrix:
     return AffinityMatrix(sparse.csr_array(magnitude + magnitude.T))
 
 
-def normalized_laplacian(a: AffinityMatrix) -> np.ndarray:
-    """L = I - D^{-1/2} A D^{-1/2} as a dense symmetric matrix.
+def _row_sums(w: sparse.csr_array) -> np.ndarray:
+    """Row sums of w (canonical CSR: sorted, unique column indices), added
+    in the order numpy adds each dense row, so they equal
+    ``w.toarray().sum(axis=1)`` bit for bit, at O(nnz log n) cost.
 
-    Zero-degree vertices keep L_ii = 1 with zero off-diagonals, so L is
-    defined for every graph; callers that need "disconnected iff eigenvalue
-    0" semantics must treat isolated vertices themselves.
+    numpy's pairwise summation halves a row of n entries (split points
+    rounded down to a multiple of 8) until blocks hold at most 128 entries.
+    A block adds its first m - m % 8 entries into 8 interleaved running
+    sums, joins them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the
+    other entries one at a time. Adding a zero is exact, so only the stored
+    entries take part.
     """
-    w = a.values.toarray()
-    degrees = w.sum(axis=1)
+    n_rows, n = w.shape
+    blocks = []  # (first column, width, node, depth) in column order
+
+    def split(lo, m, node, depth):
+        if m > 128:
+            half = m // 2 - m // 2 % 8
+            split(lo, half, 2 * node, depth + 1)
+            split(lo + half, m - half, 2 * node + 1, depth + 1)
+        else:
+            blocks.append((lo, m, node, depth))
+
+    split(0, n, 1, 0)
+    lo, width, node, depth = (np.array(v) for v in zip(*blocks))
+    rows = np.repeat(np.arange(n_rows), np.diff(w.indptr))
+    block = np.searchsorted(lo, w.indices, side="right") - 1
+    offset = w.indices - lo[block]
+    interleaved = np.where(width >= 8, width - width % 8, 0)[block]
+    # entries are sorted by (row, column), so each (row, block) is one run;
+    # np.bincount adds each bin's weights one at a time in array order
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (block[1:] != block[:-1])
+    run = np.cumsum(first) - 1
+    runs = int(first.sum())
+    lane = offset < interleaved
+    r = np.bincount(run[lane] * 8 + offset[lane] % 8, w.data[lane], runs * 8)
+    r = r.reshape(runs, 8)
+    part = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+            + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+    rest = ~lane
+    part = np.bincount(np.r_[np.arange(runs), run[rest]], np.r_[part, w.data[rest]], runs)
+    # join each row's blocks up the halving tree, deepest level first
+    row, node, depth = rows[first], node[block[first]], depth[block[first]]
+    for level in range(int(depth.max(initial=0)), 0, -1):
+        node = np.where(depth == level, node // 2, node)
+        depth = np.minimum(depth, level - 1)
+        join = np.ones(row.size, dtype=bool)
+        join[1:] = (row[1:] != row[:-1]) | (node[1:] != node[:-1])
+        part = np.bincount(np.cumsum(join) - 1, part)
+        row, node, depth = row[join], node[join], depth[join]
+    sums = np.zeros(n_rows)
+    sums[row] = part
+    return sums
+
+
+def normalized_laplacian(a: AffinityMatrix) -> sparse.csr_array:
+    """L = I - D^{-1/2} A D^{-1/2} as a sparse, exactly symmetric matrix.
+
+    Built from the stored weights in O(nnz log n). Every entry equals the
+    dense formula ``eye - s[:, None] * W * s[None, :]`` with s = D^{-1/2},
+    symmetrized as ``(L + L.T) / 2``, bit for bit, because the degrees are
+    summed in the order numpy sums a dense row. Zero-degree vertices keep
+    L_ii = 1 with zero off-diagonals, so L is defined for every graph;
+    callers that need "disconnected iff eigenvalue 0" semantics must treat
+    isolated vertices themselves.
+    """
+    w = a.values
+    degrees = _row_sums(w)
     scale = np.zeros_like(degrees)
     positive = degrees > 0
     scale[positive] = 1.0 / np.sqrt(degrees[positive])
-    lap = np.eye(a.n) - scale[:, None] * w * scale[None, :]
-    return (lap + lap.T) / 2.0
+    rows = np.repeat(np.arange(a.n), np.diff(w.indptr))
+    cols = w.indices
+    # w_ij == w_ji exactly, so the mirrored entry needs no transpose
+    off = -((scale[rows] * w.data) * scale[cols]
+            + (scale[cols] * w.data) * scale[rows]) / 2.0
+    diag = np.arange(a.n)
+    return sparse.csr_array(
+        (np.r_[np.ones(a.n), off], (np.r_[diag, rows], np.r_[diag, cols])), shape=w.shape
+    )
 
 
 def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
@@ -168,24 +250,64 @@ def _kmeans(points: np.ndarray, k: int, restarts: int, max_iters: int,
     return best_labels
 
 
+def _max_residual(lap: sparse.csr_array, values: np.ndarray, vectors: np.ndarray) -> float:
+    """Largest column norm of L V - V diag(values)."""
+    return float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max())
+
+
+def _bottom_eigenvectors(lap: sparse.csr_array, k: int) -> np.ndarray:
+    """Eigenvectors of the k smallest eigenvalues of the Laplacian.
+
+    Block LOBPCG from a fixed-seed random start block, kept when every
+    column's residual ||L v - lambda v|| is at most RESIDUAL_TOL. A block
+    method, because eigenvalue 0 has one eigenvector per connected
+    component and is often exactly k-fold; single-vector Lanczos misses
+    copies of such an eigenvalue. Dense ``eigh`` runs instead below 5k
+    vertices, where LOBPCG cannot run ("dense-small"), and when LOBPCG
+    fails the residual check ("dense-fallback").
+    """
+    n = lap.shape[0]
+    path = "dense-small"
+    if n >= 5 * k:
+        start = np.random.default_rng(START_SEED).standard_normal((n, k))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # non-convergence is judged below
+                values, vectors = lobpcg(
+                    lap, start, tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER, largest=False
+                )
+            residual = _max_residual(lap, values, vectors)
+        except np.linalg.LinAlgError:
+            residual = np.nan
+        if residual <= RESIDUAL_TOL:
+            logger.debug("eigensolver lobpcg: n=%d k=%d max residual %.3g", n, k, residual)
+            return vectors
+        path = "dense-fallback"
+        logger.debug("lobpcg rejected: n=%d k=%d max residual %.3g > %g",
+                     n, k, residual, RESIDUAL_TOL)
+    try:
+        values, vectors = eigh(lap.toarray(), subset_by_index=[0, k - 1])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"Laplacian eigendecomposition failed: {exc}") from exc
+    logger.debug("eigensolver %s: n=%d k=%d max residual %.3g",
+                 path, n, k, _max_residual(lap, values, vectors))
+    return vectors
+
+
 def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
     """Segment the affinity graph into cfg.n_clusters groups.
 
     Embedding: eigenvectors of the n_clusters smallest eigenvalues of the
-    normalized Laplacian, rows rescaled to unit length (all-zero rows kept
-    as zero). Assignment: k-means over the embedded rows, kmeans++ seeding,
-    cfg.kmeans_restarts restarts, lowest inertia kept. Deterministic under
-    cfg.rng_seed.
+    normalized Laplacian (see _bottom_eigenvectors), rows rescaled to unit
+    length (all-zero rows kept as zero). Assignment: k-means over the
+    embedded rows, kmeans++ seeding, cfg.kmeans_restarts restarts, lowest
+    inertia kept. Deterministic under cfg.rng_seed.
     """
     if cfg.n_clusters > a.n:
         raise ValueError(
             f"cannot split {a.n} points into {cfg.n_clusters} clusters"
         )
-    lap = normalized_laplacian(a)
-    try:
-        _, vectors = eigh(lap, subset_by_index=[0, cfg.n_clusters - 1])
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Laplacian eigendecomposition failed: {exc}") from exc
+    vectors = _bottom_eigenvectors(normalized_laplacian(a), cfg.n_clusters)
     norms = np.linalg.norm(vectors, axis=1)
     embedding = np.divide(
         vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0

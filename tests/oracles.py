@@ -130,18 +130,26 @@ def ssr_reference(c_dense: np.ndarray, truth: np.ndarray) -> float:
     return 100.0 * total / n
 
 
+def normalized_laplacian_reference(weights: np.ndarray) -> np.ndarray:
+    """I - D^{-1/2} W D^{-1/2} from dense weights, symmetrized as
+    (L + L^T) / 2; an isolated vertex keeps an identity row."""
+    degrees = weights.sum(axis=1)
+    scale = np.zeros_like(degrees)
+    positive = degrees > 0.0
+    scale[positive] = 1.0 / np.sqrt(degrees[positive])
+    lap = np.eye(weights.shape[0]) - scale[:, None] * weights * scale[None, :]
+    return (lap + lap.T) / 2.0
+
+
 def fiedler_reference(weights: np.ndarray) -> float:
     """Second-smallest eigenvalue of I - D^{-1/2} W D^{-1/2}, or 0 for
     graphs with under 2 vertices or any isolated vertex."""
     m = weights.shape[0]
     if m < 2:
         return 0.0
-    degrees = weights.sum(axis=1)
-    if degrees.min() <= 0.0:
+    if weights.sum(axis=1).min() <= 0.0:
         return 0.0
-    scale = 1.0 / np.sqrt(degrees)
-    lap = np.eye(m) - scale[:, None] * weights * scale[None, :]
-    eigenvalues = np.sort(np.linalg.eigvalsh((lap + lap.T) / 2.0))
+    eigenvalues = np.sort(np.linalg.eigvalsh(normalized_laplacian_reference(weights)))
     return max(float(eigenvalues[1]), 0.0)
 
 

@@ -1,8 +1,14 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
+from oracles import normalized_laplacian_reference
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
-from sscomp import Labels
+from sscomp import Labels, SyntheticSpec, add_gaussian_noise, generate_synthetic, spectral
 from sscomp.metrics import accuracy
 from sscomp.omp import CoefMatrix, ssc_omp
 from sscomp.spectral import (
@@ -18,6 +24,28 @@ from sscomp.spectral import (
 
 def affinity_from_dense(values: np.ndarray) -> AffinityMatrix:
     return AffinityMatrix(sparse.csr_array(values))
+
+
+def same_partition(first: np.ndarray, second: np.ndarray) -> bool:
+    """Equal up to relabeling: the label pairs form a bijection."""
+    pairs = set(zip(first.tolist(), second.tolist()))
+    return len(pairs) == np.unique(first).size == np.unique(second).size
+
+
+def dense_reference_labels(a: AffinityMatrix, cfg: SpectralConfig) -> np.ndarray:
+    """Cluster the bottom eigenvectors of a full dense eigendecomposition of
+    the oracle Laplacian, embedded and seeded as spectral_cluster does."""
+    lap = normalized_laplacian_reference(a.values.toarray())
+    vectors = np.linalg.eigh(lap)[1][:, :cfg.n_clusters]
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    embedding = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
+    return _kmeans(embedding, cfg.n_clusters, cfg.kmeans_restarts,
+                   cfg.kmeans_max_iters, cfg.rng_seed)
+
+
+def solver_logs(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "sscomp" and r.levelno == logging.DEBUG]
 
 
 class TestAffinityMatrix:
@@ -80,7 +108,7 @@ class TestBuildAffinity:
 class TestNormalizedLaplacian:
     def test_single_edge(self):
         a = affinity_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        lap = normalized_laplacian(a)
+        lap = normalized_laplacian(a).toarray()
         np.testing.assert_allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(lap), [0.0, 2.0], atol=1e-12
@@ -88,17 +116,17 @@ class TestNormalizedLaplacian:
 
     def test_no_edges_give_identity(self):
         a = affinity_from_dense(np.zeros((3, 3)))
-        np.testing.assert_allclose(normalized_laplacian(a), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(normalized_laplacian(a).toarray(), np.eye(3), atol=1e-15)
 
     def test_triangle_spectrum(self):
         a = affinity_from_dense(np.ones((3, 3)) - np.eye(3))
-        eigs = np.linalg.eigvalsh(normalized_laplacian(a))
+        eigs = np.linalg.eigvalsh(normalized_laplacian(a).toarray())
         np.testing.assert_allclose(eigs, [0.0, 1.5, 1.5], atol=1e-12)
 
     def test_eigenvalues_bounded(self, unit_matrix):
         x = unit_matrix(6, 25, seed=22)
         a = build_affinity(ssc_omp(x, 3, 1e-6))
-        eigs = np.linalg.eigvalsh(normalized_laplacian(a))
+        eigs = np.linalg.eigvalsh(normalized_laplacian(a).toarray())
         assert eigs.min() >= -1e-9
         assert eigs.max() <= 2.0 + 1e-9
 
@@ -107,7 +135,7 @@ class TestNormalizedLaplacian:
         dense = np.zeros((4, 4))
         dense[0, 1] = dense[1, 0] = 1.0
         dense[2, 3] = dense[3, 2] = 2.0
-        lap = normalized_laplacian(affinity_from_dense(dense))
+        lap = normalized_laplacian(affinity_from_dense(dense)).toarray()
         eigs = np.linalg.eigvalsh(lap)
         assert int((np.abs(eigs) < 1e-9).sum()) == 2
 
@@ -116,14 +144,27 @@ class TestNormalizedLaplacian:
         # contributes eigenvalue 1, not 0
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 0] = 1.0
-        lap = normalized_laplacian(affinity_from_dense(dense))
+        lap = normalized_laplacian(affinity_from_dense(dense)).toarray()
         assert lap[2, 2] == 1.0
         assert not lap[2, :2].any()
 
     def test_exactly_symmetric_output(self, unit_matrix):
         x = unit_matrix(5, 18, seed=23)
-        lap = normalized_laplacian(build_affinity(ssc_omp(x, 3, 1e-6)))
+        lap = normalized_laplacian(build_affinity(ssc_omp(x, 3, 1e-6))).toarray()
         assert (lap == lap.T).all()
+
+    @pytest.mark.parametrize("n", [5, 40, 129, 300, 700])
+    def test_matches_dense_formula_bit_for_bit(self, n):
+        # widths past 128 and 256 exercise numpy's pairwise halving, whose
+        # order the sparse degree sums follow; vertex 0 is isolated
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < min(1.0, 12 / n), k=1)
+        weights = np.where(upper, 10.0 ** rng.uniform(-4, 2, (n, n)), 0.0)
+        weights = weights + weights.T
+        weights[0, :] = weights[:, 0] = 0.0
+        lap = normalized_laplacian(affinity_from_dense(weights))
+        assert isinstance(lap, sparse.csr_array)
+        assert np.array_equal(lap.toarray(), normalized_laplacian_reference(weights))
 
 
 class TestSpectralConfig:
@@ -189,6 +230,69 @@ class TestSpectralCluster:
         a = self.block_affinity([2, 2])
         with pytest.raises(ValueError, match="clusters"):
             spectral_cluster(a, SpectralConfig(n_clusters=5))
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["k-components", "connected"])
+    def test_lobpcg_matches_dense_reference(self, noisy, caplog):
+        # clean data: exactly n_clusters components, so eigenvalue 0 is
+        # 5-fold; noisy data: one component with a small eigengap
+        x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
+        if noisy:
+            x = add_gaussian_noise(x, 0.5, 0.05, rng_seed=4)
+        a = build_affinity(ssc_omp(x, 8, 1e-6))
+        assert connected_components(a.values)[0] == (1 if noisy else 5)
+        cfg = SpectralConfig(n_clusters=5, rng_seed=2)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        labels = spectral_cluster(a, cfg)
+        assert solver_logs(caplog)[-1].startswith("eigensolver lobpcg:")
+        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+
+    @pytest.mark.parametrize("failure", ["unconverged", "linalg-error"])
+    def test_failed_lobpcg_falls_back_to_dense(self, failure, monkeypatch, caplog):
+        def broken_lobpcg(lap, start, **kwargs):
+            warnings.warn("not reaching the requested tolerance", UserWarning)
+            if failure == "linalg-error":
+                raise np.linalg.LinAlgError("leading minor not positive definite")
+            return np.ones(start.shape[1]), np.linalg.qr(start)[0]
+
+        monkeypatch.setattr(spectral, "lobpcg", broken_lobpcg)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = spectral_cluster(self.block_affinity([6] * 5),
+                                      SpectralConfig(n_clusters=5, rng_seed=3))
+        logs = solver_logs(caplog)
+        assert logs[0].startswith("lobpcg rejected:")
+        assert logs[-1].startswith("eigensolver dense-fallback:")
+        assert accuracy(labels, Labels(np.repeat(np.arange(5), 6), 5)) == 100.0
+
+    @pytest.mark.parametrize("sizes, k, path", [
+        ([3, 4, 5, 6, 7, 8, 9], 3, "lobpcg"),
+        ([3] * 7, 5, "dense-small"),
+    ])
+    def test_more_components_than_clusters(self, sizes, k, path, caplog):
+        # eigenvalue 0 has more eigenvectors than are taken; any basis of
+        # that space maps a whole component to one embedded point
+        a = self.block_affinity(sizes)
+        component = np.repeat(np.arange(len(sizes)), sizes)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        first = spectral_cluster(a, SpectralConfig(n_clusters=k)).assignments
+        second = spectral_cluster(a, SpectralConfig(n_clusters=k)).assignments
+        assert solver_logs(caplog)[-1].startswith(f"eigensolver {path}:")
+        assert np.array_equal(first, second)
+        for c in range(len(sizes)):
+            assert np.unique(first[component == c]).size == 1
+
+    def test_logs_eigensolver_path_and_residual(self, oracle_dataset, caplog):
+        x, _ = oracle_dataset
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        spectral_cluster(build_affinity(ssc_omp(x, 8, 1e-6)), SpectralConfig(n_clusters=5))
+        spectral_cluster(self.block_affinity([4, 5]), SpectralConfig(n_clusters=2))
+        logs = solver_logs(caplog)
+        assert [line.split(":")[0] for line in logs] == [
+            "eigensolver lobpcg", "eigensolver dense-small"]
+        for line in logs:
+            residual = float(re.search(r"max residual (\S+)", line).group(1))
+            assert 0.0 <= residual <= spectral.RESIDUAL_TOL
 
 
 class TestKmeansInternals:
