@@ -91,16 +91,13 @@ def accuracy(pred: Labels, truth: Labels) -> float:
 def _fiedler_value(sub: sparse.csr_array) -> float:
     """Second-smallest normalized-Laplacian eigenvalue of one subgraph.
 
-    Zero means disconnected. Disconnection is decided structurally (an
-    isolated vertex or more than one component) so the answer is exactly
-    0.0 rather than eigensolver noise; the eigenvalue is only computed for
-    graphs already known to be connected.
+    Zero means disconnected. Disconnection is decided by the number of
+    connected components alone, so the answer is exactly 0.0 rather than
+    eigensolver noise: with two or more vertices, a vertex with no edge is
+    a component of its own. The eigenvalue is only computed for graphs
+    already known to be connected.
     """
-    m = sub.shape[0]
-    if m < 2:
-        return 0.0
-    degrees = np.asarray(sub.sum(axis=1)).reshape(-1)
-    if degrees.min() <= 0.0:
+    if sub.shape[0] < 2:
         return 0.0
     if sparse.csgraph.connected_components(sub, directed=False, return_labels=False) > 1:
         return 0.0
@@ -124,7 +121,7 @@ def connectivity(a: AffinityMatrix, truth: Labels) -> float:
     for c in range(truth.n_clusters):
         members = np.flatnonzero(truth.assignments == c)
         sub = a.values[np.ix_(members, members)]
-        worst = min(worst, _fiedler_value(sparse.csr_array(sub)))
+        worst = min(worst, _fiedler_value(sub))
         if worst == 0.0:
             break
     return worst

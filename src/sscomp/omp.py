@@ -70,27 +70,42 @@ def save_triplets(path, rows, cols, values) -> None:
                    delimiter=",", newline="\r\n", header="row,col,value", comments="")
 
 
+def frozen_square(values, layout, name: str):
+    """A private, validated copy of a square sparse matrix.
+
+    ``values`` becomes ``layout`` (``sparse.csr_array`` or
+    ``sparse.csc_array``) in float64, with duplicates summed, stored zeros
+    dropped and read-only buffers. It must be square, finite and zero on the
+    diagonal; ``name`` names the matrix in the error. The copy shares no
+    buffer with ``values``, which the caller may reuse or change.
+    """
+    m = layout(values, dtype=np.float64, copy=True)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got {m.shape}")
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    if not np.isfinite(m.data).all():
+        raise ValueError(f"{name} contains non-finite values")
+    if m.diagonal().any():
+        raise ValueError(f"{name} diagonal must be zero")
+    for buf in (m.data, m.indices, m.indptr):
+        buf.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class CoefMatrix:
     """Sparse N x N self-expression matrix, column i holding the coefficients
     of point i over the other points. Diagonal is identically zero. Backed by
-    compressed sparse columns, frozen after construction."""
+    compressed sparse columns: a frozen copy of the input (see
+    :func:`frozen_square`), so the caller's matrix is left as it was."""
 
     matrix: sparse.csc_array
 
     def __post_init__(self):
-        m = sparse.csc_array(self.matrix, dtype=np.float64)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"coefficient matrix must be square, got {m.shape}")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        if not np.isfinite(m.data).all():
-            raise ValueError("coefficient matrix contains non-finite values")
-        if m.diagonal().any():
-            raise ValueError("self-expression forbids nonzero diagonal entries")
-        for buf in (m.data, m.indices, m.indptr):
-            buf.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(
+            self, "matrix", frozen_square(self.matrix, sparse.csc_array, "coefficient matrix")
+        )
 
     @property
     def n(self) -> int:

@@ -4,6 +4,7 @@ from conftest import random_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import omp_reference
+from scipy import sparse
 
 from sscomp import DataMatrix, normalize_columns
 from sscomp.adaptive import KArray
@@ -56,6 +57,14 @@ class TestCoefMatrix:
         c = CoefMatrix.from_triplets([0], [1], [1.0], 3)
         with pytest.raises(ValueError):
             c.matrix.data[0] = 9.0
+
+    def test_leaves_caller_matrix_untouched(self):
+        m = sparse.csc_array(np.array([[0.0, 2.0], [3.0, 0.0]]))
+        first, second = CoefMatrix(m), CoefMatrix(m)
+        for buf in (m.data, m.indices, m.indptr):
+            assert buf.flags.writeable
+        m.data[:] = 7.0
+        assert first.matrix.data.tolist() == second.matrix.data.tolist() == [3.0, 2.0]
 
 
 class TestOmpSolve:

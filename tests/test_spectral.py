@@ -69,6 +69,14 @@ class TestAffinityMatrix:
         with pytest.raises(ValueError):
             a.values.data[0] = 5.0
 
+    def test_leaves_caller_matrix_untouched(self):
+        m = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        first, second = AffinityMatrix(m), AffinityMatrix(m)
+        for buf in (m.data, m.indices, m.indptr):
+            assert buf.flags.writeable
+        m.data[:] = 7.0
+        assert first.values.data.tolist() == second.values.data.tolist() == [1.0, 1.0]
+
     def test_save_csv(self, tmp_path):
         a = affinity_from_dense(np.array([[0.0, 2.0], [2.0, 0.0]]))
         path = tmp_path / "a.csv"
@@ -153,10 +161,16 @@ class TestNormalizedLaplacian:
         lap = normalized_laplacian(build_affinity(ssc_omp(x, 3, 1e-6))).toarray()
         assert (lap == lap.T).all()
 
-    @pytest.mark.parametrize("n", [5, 40, 129, 300, 700])
+    def test_empty_graph(self):
+        lap = normalized_laplacian(AffinityMatrix(sparse.csr_array((0, 0))))
+        assert isinstance(lap, sparse.csr_array)
+        assert lap.shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [5, 40, 129, 300, 700, 886])
     def test_matches_dense_formula_bit_for_bit(self, n):
-        # widths past 128 and 256 exercise numpy's pairwise halving, whose
-        # order the sparse degree sums follow; vertex 0 is isolated
+        # widths past 128 and 256 exercise numpy's pairwise halving; 700
+        # spans two row blocks of the degree sums, and 886 three full blocks
+        # plus a final block of one row; vertex 0 is isolated
         rng = np.random.default_rng(n)
         upper = np.triu(rng.random((n, n)) < min(1.0, 12 / n), k=1)
         weights = np.where(upper, 10.0 ** rng.uniform(-4, 2, (n, n)), 0.0)
