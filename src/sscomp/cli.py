@@ -175,9 +175,7 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    axis = _AXIS_ALIASES.get(args.axis)
-    if axis is None:
-        raise ValueError(f"unknown sweep axis {args.axis!r}")
+    axis = _AXIS_ALIASES[args.axis]
     values = _parse_sweep_values(axis, args.values)
     base = _experiment_config(args, method="omp")
     sweep = SweepSpec(axis=axis, values=values)
@@ -328,7 +326,6 @@ def build_parser():
         description="Sparse subspace clustering with per-point dictionary budgets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = subs.add_parser("cluster", help="run one configuration and report metrics")
     _add_config_arg(p)
@@ -338,7 +335,6 @@ def build_parser():
     p.add_argument("--labels-out", metavar="CSV",
                    help="write predicted labels (requires --trials 1)")
     p.set_defaults(func=_cmd_cluster)
-    registry["cluster"] = p
 
     p = subs.add_parser("sweep", help="sweep one axis, both methods paired")
     _add_config_arg(p)
@@ -352,7 +348,6 @@ def build_parser():
     p.add_argument("--out-dir", required=True, metavar="DIR",
                    help="directory for aggregate.csv, plot.csv, trials/*.json")
     p.set_defaults(func=_cmd_sweep)
-    registry["sweep"] = p
 
     p = subs.add_parser("compare", help="adaptive-minus-baseline deltas per row")
     _add_config_arg(p)
@@ -362,7 +357,6 @@ def build_parser():
                         "(default: same file as baseline)")
     p.add_argument("--out", metavar="CSV", help="write the comparison table")
     p.set_defaults(func=_cmd_compare)
-    registry["compare"] = p
 
     p = subs.add_parser("k-array", help="dump per-point budgets as CSV")
     _add_config_arg(p)
@@ -372,7 +366,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--out", metavar="CSV")
     p.set_defaults(func=_cmd_k_array)
-    registry["k-array"] = p
 
     p = subs.add_parser("synth", help="write a synthetic dataset file")
     _add_config_arg(p)
@@ -386,7 +379,6 @@ def build_parser():
                    help="omit the label column")
     p.add_argument("--out", required=True, metavar="FILE", help=".csv or .npz")
     p.set_defaults(func=_cmd_synth)
-    registry["synth"] = p
 
     p = subs.add_parser("noise", help="corrupt a dataset file")
     _add_config_arg(p)
@@ -398,9 +390,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_noise)
-    registry["noise"] = p
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def _apply_config_file(argv: list[str], registry: dict) -> None:

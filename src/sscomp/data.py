@@ -173,6 +173,22 @@ def _raise_first_bad_row(path, body: list[list[str]], start: int, width: int) ->
                 )
 
 
+def _integer_labels(raw: np.ndarray, where) -> Labels:
+    """Labels from integer-valued ids, remapped to contiguous 0-based ids.
+
+    Ids of a non-integer dtype must be finite whole numbers; the first that
+    is not raises, named by ``where(index)``.
+    """
+    if raw.dtype.kind not in "biu":
+        raw = np.asarray(raw, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.floor(raw)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{where(i)}: label {float(raw[i])} is not an integer")
+    _, contiguous = np.unique(raw.astype(np.int64), return_inverse=True)
+    return Labels(contiguous, int(contiguous.max()) + 1)
+
+
 def load_csv(path, has_labels: bool = False):
     """Load a CSV of points (one row per point) into a DataMatrix.
 
@@ -206,13 +222,7 @@ def load_csv(path, has_labels: bool = False):
     if has_labels:
         raw_labels = rows[:, -1]
         rows = rows[:, :-1]
-        if not np.all(raw_labels == np.floor(raw_labels)):
-            bad = int(np.flatnonzero(raw_labels != np.floor(raw_labels))[0])
-            raise ValueError(
-                f"{path}: row {start + bad + 1}: label {raw_labels[bad]!r} is not an integer"
-            )
-        _, contiguous = np.unique(raw_labels.astype(np.int64), return_inverse=True)
-        labels = Labels(contiguous, int(contiguous.max()) + 1)
+        labels = _integer_labels(raw_labels, lambda i: f"{path}: row {start + i + 1}")
 
     if rows.shape[0] < 3:
         raise ValueError(f"{path}: need at least 3 points, got {rows.shape[0]}")
@@ -236,17 +246,16 @@ def load_npz(path, has_labels: bool = False):
     with np.load(path) as archive:
         if "values" not in archive:
             raise ValueError(f"{path}: missing 'values' array")
-        values = archive["values"]
+        x = DataMatrix(archive["values"])
         labels = None
         if has_labels:
             if "labels" not in archive:
                 raise ValueError(f"{path}: labels requested but no 'labels' array")
-            raw = np.asarray(archive["labels"], dtype=np.int64)
-            if raw.ndim != 1 or raw.size != values.shape[1]:
+            raw = archive["labels"]
+            if raw.ndim != 1 or raw.size != x.n:
                 raise ValueError(f"{path}: 'labels' must be a length-N vector")
-            _, contiguous = np.unique(raw, return_inverse=True)
-            labels = Labels(contiguous, int(contiguous.max()) + 1)
-    return DataMatrix(values), labels
+            labels = _integer_labels(raw, lambda i: f"{path}: 'labels' entry {i}")
+    return x, labels
 
 
 def save_npz(x: DataMatrix, path, labels: Labels | None = None) -> None:

@@ -79,14 +79,17 @@ COMPARISON_COLUMNS = [
     "adaptive_loses", "error",
 ]
 
-SWEEP_AXES = ("n_clusters", "k", "samples_per_cluster", "noise_sigma")
-
 _AXIS_TO_COLUMN = {
     "n_clusters": "n",
     "k": "K",
     "samples_per_cluster": "samples",
     "noise_sigma": "sigma",
 }
+
+SWEEP_AXES = tuple(_AXIS_TO_COLUMN)
+
+# aggregate columns that identify a run, shared by both methods' rows
+_RUN_KEY = ("dataset", "n", "samples", "K", "eps", "sigma", "seed")
 
 # aggregate column (a MetricsReport.to_dict key) -> format of its mean
 _METRIC_FORMATS = {"accr": ".4f", "time": ".6f", "conn": ".6f",
@@ -445,7 +448,7 @@ def write_plot_csv(rows: list[dict], path, axis: str = "noise_sigma") -> None:
 
 
 def _row_key(row: dict):
-    return tuple(row[c] for c in ("dataset", "n", "samples", "K", "eps", "sigma", "seed"))
+    return tuple(row[c] for c in _RUN_KEY)
 
 
 def compare(baseline_rows: list[dict], adaptive_rows: list[dict]) -> list[dict]:
@@ -468,12 +471,9 @@ def compare(baseline_rows: list[dict], adaptive_rows: list[dict]) -> list[dict]:
         raise ValueError("no paired rows to compare (need omp and adaptive-omp rows)")
 
     out = []
-    ordered = dict.fromkeys(
-        _row_key(r) for r in baseline_rows if r["method"] == "omp"
-    )
-    for key in ordered:
-        b, a = base[key], adapt[key]
-        row = dict(zip(("dataset", "n", "samples", "K", "eps", "sigma", "seed"), key))
+    for key, b in base.items():
+        a = adapt[key]
+        row = dict(zip(_RUN_KEY, key))
         if b["error"] or a["error"]:
             row.update({c: "" for c in COMPARISON_COLUMNS if c not in row})
             row["error"] = b["error"] or a["error"]

@@ -258,56 +258,46 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
     return out
 
 
-def _self_expression(x: DataMatrix, budgets: np.ndarray, eps: float,
-                     gram: np.ndarray | None) -> CoefMatrix:
-    if gram is None:
-        gram = gram_matrix(x)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for i in range(x.n):
-        support, coefs = _greedy(
-            x.values, x.values[:, i], int(budgets[i]), eps, exclude=i, gram=gram
-        )
-        rows.append(support)
-        cols.append(np.full(support.size, i, dtype=np.int64))
-        vals.append(coefs)
-    return CoefMatrix.from_triplets(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), x.n
-    )
-
-
-def _check_self_expression_args(x: DataMatrix, eps: float) -> None:
-    if not x.unit_normalized:
-        raise ValueError("self-expression requires unit-normalized data")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-
-
 def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6,
             gram: np.ndarray | None = None) -> CoefMatrix:
     """Self-expression with a uniform budget: column i of the result codes
     point i over all other points with at most k atoms.
 
-    The solver reads the Gram X^T X for every correlation update; ``gram``
-    may pass a precomputed one (from :func:`gram_matrix`), otherwise it is
-    computed here and held for the call, 8 N^2 bytes.
+    This is :func:`ssc_omp_adaptive` with every budget set to k (fixed-budget
+    SSC-OMP), so the two agree bit for bit. ``gram`` is read as there.
     """
-    _check_self_expression_args(x, eps)
     if not 1 <= k <= x.n - 2:
         raise ValueError(f"k must be in [1, N-2] = [1, {x.n - 2}], got {k}")
-    return _self_expression(x, np.full(x.n, k, dtype=np.int64), eps, gram)
+    return ssc_omp_adaptive(x, KArray.uniform(k, x.n), eps, gram)
 
 
 def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
                      gram: np.ndarray | None = None) -> CoefMatrix:
-    """Self-expression with per-point budgets: column i may use up to
-    ``k_array.sizes[i]`` atoms. With uniform budgets this reduces exactly to
-    :func:`ssc_omp`. ``gram`` is read as in :func:`ssc_omp`; passing the
-    one used for budget selection avoids forming it twice."""
-    _check_self_expression_args(x, eps)
+    """Self-expression with per-point budgets: column i codes point i over
+    all other points with at most ``k_array.sizes[i]`` atoms.
+
+    The solver reads the Gram X^T X for every correlation update; ``gram``
+    may pass a precomputed one (from :func:`gram_matrix`, e.g. the one used
+    for budget selection), otherwise it is computed here and held for the
+    call, 8 N^2 bytes. C is built straight into compressed sparse columns:
+    column i holds point i's support in selection order, which
+    :class:`CoefMatrix` sorts.
+    """
+    if not x.unit_normalized:
+        raise ValueError("self-expression requires unit-normalized data")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     if k_array.n != x.n:
         raise ValueError(
             f"budget vector covers {k_array.n} points, data has {x.n}"
         )
-    return _self_expression(x, k_array.sizes, eps, gram)
+    if gram is None:
+        gram = gram_matrix(x)
+    supports, values = zip(*(
+        _greedy(x.values, x.values[:, i], int(budget), eps, exclude=i, gram=gram)
+        for i, budget in enumerate(k_array.sizes)
+    ))
+    indptr = np.cumsum([0] + [s.size for s in supports])
+    return CoefMatrix(sparse.csc_array(
+        (np.concatenate(values), np.concatenate(supports), indptr), shape=(x.n, x.n)
+    ))

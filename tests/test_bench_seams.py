@@ -30,3 +30,17 @@ def test_every_traced_name_is_reached(tmp_path, capsys):
             experiment.write_trial_json(report, tmp_path / f"{method}.json")
     fired = {span["name"] for span in tracer.spans}
     assert sorted(set(TRACE) - fired) == []
+
+
+def test_fixed_trial_records_one_fixed_solve(tmp_path):
+    """``ssc_omp`` solves through ``ssc_omp_adaptive``; a fixed-budget trial
+    must still show up as exactly one ``omp.fixed`` span and no
+    ``omp.adaptive`` span."""
+    spec = experiment.SyntheticSpec(3, 2, 12, 8, rng_seed=1)
+    cfg = experiment.ExperimentConfig(dataset=spec, n_clusters=3, k=3, method="omp")
+    data = experiment.load_dataset(cfg)
+    tracer = Tracer(TRACE)
+    with tracer.installed():
+        experiment.run_trial_detailed(cfg, 0, data=data)
+    assert len(tracer.named("omp.fixed")) == 1
+    assert tracer.named("omp.adaptive") == []

@@ -251,6 +251,17 @@ class TestSynthAndNoise:
             np.linalg.norm(x_noisy.values, axis=0), 1.0, atol=1e-9
         )
 
+    def test_noise_one_dimensional_npz_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, values=np.ones(6), labels=np.zeros(6, dtype=np.int64))
+        code, _, err = run(
+            capsys,
+            "noise", "--in", str(path), "--has-labels",
+            "--sigma", "0.2", "--out", str(tmp_path / "o.npz"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "2-d array" in err
+
     def test_noise_missing_input(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

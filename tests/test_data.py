@@ -116,6 +116,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="not an integer"):
             load_csv(path, has_labels=True)
 
+    def test_non_integer_label_message_prints_the_value(self, tmp_path):
+        path = tmp_path / "fraclabel.csv"
+        path.write_text("1,0,0.5\n0,1,1\n1,1,1\n")
+        with pytest.raises(ValueError, match=r"row 1: label 0\.5 is not an integer"):
+            load_csv(path, has_labels=True)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -134,6 +140,28 @@ def test_npz_round_trip(tmp_path):
     assert np.array_equal(y.assignments, y2.assignments)
     x3, y3 = load_npz(path)
     assert y3 is None and x3.n == 8
+
+
+class TestLoadNpz:
+    def test_one_dimensional_values_rejected_with_labels(self, tmp_path):
+        path = tmp_path / "flat.npz"
+        np.savez(path, values=np.ones(6), labels=np.zeros(6, dtype=np.int64))
+        with pytest.raises(ValueError, match="2-d array"):
+            load_npz(path, has_labels=True)
+
+    @pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf")])
+    def test_non_integer_label_rejected(self, tmp_path, bad, shown):
+        path = tmp_path / "fraclabels.npz"
+        labels = np.array([0.0, 0.0, 1.0, bad, 1.0])
+        np.savez(path, values=np.eye(5), labels=labels)
+        with pytest.raises(ValueError, match=rf"'labels' entry 3: label {shown} is not an integer"):
+            load_npz(path, has_labels=True)
+
+    def test_integer_valued_float_labels_accepted(self, tmp_path):
+        path = tmp_path / "floatlabels.npz"
+        np.savez(path, values=np.eye(5), labels=np.array([3.0, 3.0, 7.0, 7.0, 3.0]))
+        _, y = load_npz(path, has_labels=True)
+        assert y.assignments.tolist() == [0, 0, 1, 1, 0]
 
 
 def test_labels_csv_round_trip(tmp_path):

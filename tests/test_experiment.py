@@ -439,6 +439,15 @@ class TestCompare:
         assert text[0].startswith("dataset,n,samples,K,eps,sigma,seed,accr_baseline")
         assert len(text) == 2
 
+    def test_rows_follow_first_occurrence_and_last_row_wins(self):
+        baseline = [fake_row("omp", "70.0", seed="3"), fake_row("omp", "80.0", seed="1"),
+                    fake_row("omp", "90.0", seed="2"), fake_row("omp", "75.0", seed="3")]
+        adaptive = [fake_row("adaptive-omp", "80.0", seed=seed) for seed in ("1", "2", "3")]
+        result = compare(baseline, adaptive)
+        assert [r["seed"] for r in result] == ["3", "1", "2"]
+        assert [r["accr_baseline"] for r in result] == ["75.0", "80.0", "90.0"]
+        assert result[0]["dataset"] == "d" and result[0]["K"] == "3"
+
     def test_real_sweep_rows_compare(self):
         rows = run_sweep(small_config(), SweepSpec("k", (2, 3)))
         result = compare(rows, rows)
@@ -501,5 +510,17 @@ class TestUnreadableDataset:
                          out_dir=out, workers=1)
         assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
         assert all("dataset failed to load" in r["error"] for r in rows)
+        written = read_aggregate_csv(out / "aggregate.csv")
+        assert [r["error"] for r in written] == [r["error"] for r in rows]
+
+    def test_sweep_over_one_dimensional_npz_records_error_rows(self, tmp_path):
+        path = tmp_path / "flat.npz"
+        np.savez(path, values=np.ones(24), labels=np.repeat([0, 1, 2], 8))
+        out = tmp_path / "out"
+        rows = run_sweep(small_config(dataset=str(path)), SweepSpec("k", (3,)),
+                         out_dir=out, workers=1)
+        assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
+        assert all("dataset failed to load" in r["error"] and "2-d array" in r["error"]
+                   for r in rows)
         written = read_aggregate_csv(out / "aggregate.csv")
         assert [r["error"] for r in written] == [r["error"] for r in rows]
