@@ -41,7 +41,7 @@ for value in range(sizes.min(), sizes.max() + 1):
         print(f"  K={value:3d}  {'#' * (count // 2)} {count}")
 
 # the per-point budgets feed straight into the solver; the gram computed
-# for scoring is reused for the first OMP iteration of every point
+# for scoring is reused, and OMP reads its rows at every greedy step
 adaptive = ssc_omp_adaptive(x, budgets, eps=1e-6, gram=gram)
 fixed = ssc_omp(x, K, eps=1e-6)
 print(f"\nnonzeros: fixed {fixed.nnz}, adaptive {adaptive.nnz}")

@@ -9,9 +9,9 @@ Subcommands:
   noise     corrupt an existing dataset file
 
 Every subcommand accepts --config pointing at a JSON object whose keys are
-flag names (underscored); explicit flags override the file. The worker-pool
-size for trials comes from --workers or the SSCOMP_WORKERS environment
-variable (default 1, serial).
+flag names (underscored); explicit flags override the file. Each value is
+parsed with its flag's type, and null keeps the flag's default. Trials run
+on --workers processes (default 1, serial).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .data import (
 )
 from .experiment import (
     _AXIS_TO_COLUMN,
+    _METRIC_FORMATS,
     METHODS,
     ExperimentConfig,
     ExperimentError,
@@ -187,10 +188,7 @@ def _cmd_sweep(args) -> int:
         if row["error"]:
             print(f"{tag}: ERROR {row['error']}")
         else:
-            print(
-                f"{tag}: accr={row['accr']} time={row['time']} conn={row['conn']} "
-                f"perc={row['perc']} ssr={row['ssr']} sea={row['sea']}"
-            )
+            print(f"{tag}: " + " ".join(f"{m}={row[m]}" for m in _METRIC_FORMATS))
     print(f"wrote {out_dir / 'aggregate.csv'}")
     if failures:
         print(f"{len(failures)} sweep rows failed", file=sys.stderr)
@@ -203,7 +201,6 @@ def _cmd_compare(args) -> int:
     adaptive_rows = read_aggregate_csv(args.adaptive or args.baseline)
     rows = compare(baseline_rows, adaptive_rows)
     losses = [r for r in rows if r.get("adaptive_loses") == "yes"]
-    errors = [r for r in rows if r.get("error")]
     for row in rows:
         key = f"n={row['n']} K={row['K']} samples={row['samples']} sigma={row['sigma']}"
         if row.get("error"):
@@ -316,8 +313,8 @@ def _add_run_args(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--restarts", type=int, default=20,
                    help="k-means restarts in spectral clustering (default 20)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="trial worker processes (default: SSCOMP_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="trial worker processes (default 1, serial)")
 
 
 def build_parser():
@@ -405,11 +402,14 @@ def _apply_config_file(argv: list[str], registry: dict) -> None:
     if not isinstance(overrides, dict):
         raise ValueError("--config file must hold a JSON object")
     sub = registry[argv[0]]
-    known = {action.dest for action in sub._actions}
-    unknown = sorted(set(overrides) - known)
+    actions = {action.dest: action for action in sub._actions}
+    unknown = sorted(set(overrides) - set(actions))
     if unknown:
         raise ValueError(f"--config has unknown keys: {unknown}")
-    sub.set_defaults(**overrides)
+    # a string default goes through the flag's type as if typed on the
+    # command line, so a bad value ends in argparse's usage error
+    sub.set_defaults(**{dest: str(value) if actions[dest].type else value
+                        for dest, value in overrides.items() if value is not None})
 
 
 def main(argv=None) -> int:

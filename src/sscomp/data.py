@@ -246,7 +246,10 @@ def load_npz(path, has_labels: bool = False):
     with np.load(path) as archive:
         if "values" not in archive:
             raise ValueError(f"{path}: missing 'values' array")
-        x = DataMatrix(archive["values"])
+        try:
+            x = DataMatrix(archive["values"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         labels = None
         if has_labels:
             if "labels" not in archive:
@@ -282,8 +285,7 @@ def load_labels(path) -> Labels:
         raw = np.array([int(line) for line in lines], dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"{path}: labels must be integers ({exc})") from None
-    _, contiguous = np.unique(raw, return_inverse=True)
-    return Labels(contiguous, int(contiguous.max()) + 1)
+    return _integer_labels(raw, lambda i: f"{path}: label {i}")
 
 
 def normalize_columns(x: DataMatrix) -> DataMatrix:

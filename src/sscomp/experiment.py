@@ -12,7 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -67,18 +67,6 @@ __all__ = [
 
 METHODS = ("omp", "adaptive-omp")
 
-CSV_COLUMNS = [
-    "dataset", "n", "samples", "K", "eps", "sigma", "seed", "method",
-    "accr", "time", "conn", "perc", "ssr", "sea", "error",
-]
-
-COMPARISON_COLUMNS = [
-    "dataset", "n", "samples", "K", "eps", "sigma", "seed",
-    "accr_baseline", "accr_adaptive", "delta_accr", "delta_conn",
-    "delta_perc", "delta_ssr", "delta_sea", "time_ratio",
-    "adaptive_loses", "error",
-]
-
 _AXIS_TO_COLUMN = {
     "n_clusters": "n",
     "k": "K",
@@ -94,6 +82,16 @@ _RUN_KEY = ("dataset", "n", "samples", "K", "eps", "sigma", "seed")
 # aggregate column (a MetricsReport.to_dict key) -> format of its mean
 _METRIC_FORMATS = {"accr": ".4f", "time": ".6f", "conn": ".6f",
                    "perc": ".4f", "ssr": ".4f", "sea": ".6f"}
+
+# metrics whose adaptive-minus-baseline difference the comparison reports
+_DELTA_METRICS = ("accr", "conn", "perc", "ssr", "sea")
+
+CSV_COLUMNS = [*_RUN_KEY, "method", *_METRIC_FORMATS, "error"]
+
+COMPARISON_COLUMNS = [
+    *_RUN_KEY, "accr_baseline", "accr_adaptive",
+    *(f"delta_{m}" for m in _DELTA_METRICS), "time_ratio", "adaptive_loses", "error",
+]
 
 
 class ExperimentError(RuntimeError):
@@ -127,8 +125,8 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.trials < 1:
@@ -302,27 +300,13 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         raise ExperimentError(f"trial failed ({context}): {exc}") from exc
 
 
-def worker_count(explicit: int | None = None) -> int:
-    """Worker-pool size: explicit argument, else the SSCOMP_WORKERS
-    environment variable, else 1 (serial)."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("worker count must be positive")
-        return explicit
-    raw = os.environ.get("SSCOMP_WORKERS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"SSCOMP_WORKERS must be a positive integer, got {raw!r}")
-    return count
-
-
-def run_trials(cfg: ExperimentConfig, workers: int | None = None) -> list[MetricsReport]:
-    """All cfg.trials trials of one configuration, optionally on a process
-    pool. The dataset is loaded once, here, and passed to every trial.
-    Trial order in the result is by trial index either way."""
-    count = worker_count(workers)
+def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsReport]:
+    """All cfg.trials trials of one configuration, on a pool of ``workers``
+    processes when more than one. The dataset is loaded once, here, and
+    passed to every trial. Trial order in the result is by trial index
+    either way."""
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
                f"seed={cfg.seed}")
     try:
@@ -330,10 +314,10 @@ def run_trials(cfg: ExperimentConfig, workers: int | None = None) -> list[Metric
     except (ValueError, OSError) as exc:
         raise ExperimentError(f"dataset failed to load ({context}): {exc}") from exc
     trials = range(cfg.trials)
-    if count == 1 or cfg.trials == 1:
+    if workers == 1 or cfg.trials == 1:
         return [run_trial(cfg, t, data=data) for t in trials]
     try:
-        with ProcessPoolExecutor(max_workers=min(count, cfg.trials)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as pool:
             return list(pool.map(run_trial, repeat(cfg), trials, repeat(data)))
     except BrokenProcessPool as exc:
         raise ExperimentError(f"worker process died ({context})") from exc
@@ -376,7 +360,7 @@ def run_sweep(
     base: ExperimentConfig,
     sweep: SweepSpec,
     out_dir: str | Path | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[dict]:
     """Run both methods over every sweep value, mean-aggregated over trials.
 
@@ -479,18 +463,12 @@ def compare(baseline_rows: list[dict], adaptive_rows: list[dict]) -> list[dict]:
             row["error"] = b["error"] or a["error"]
             out.append(row)
             continue
-        deltas = {
-            m: float(a[m]) - float(b[m]) for m in ("accr", "conn", "perc", "ssr", "sea")
-        }
+        deltas = {m: float(a[m]) - float(b[m]) for m in _DELTA_METRICS}
         base_time = float(b["time"])
         row.update(
             accr_baseline=b["accr"],
             accr_adaptive=a["accr"],
-            delta_accr=f"{deltas['accr']:.4f}",
-            delta_conn=f"{deltas['conn']:.6f}",
-            delta_perc=f"{deltas['perc']:.4f}",
-            delta_ssr=f"{deltas['ssr']:.4f}",
-            delta_sea=f"{deltas['sea']:.6f}",
+            **{f"delta_{m}": f"{d:{_METRIC_FORMATS[m]}}" for m, d in deltas.items()},
             time_ratio="" if base_time <= 0 else f"{float(a['time']) / base_time:.4f}",
             adaptive_loses="yes" if deltas["accr"] < 0 else "",
             error="",

@@ -22,6 +22,7 @@ square is formed and it carries ~1e-16 absolute rounding.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,8 +267,8 @@ def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6,
     This is :func:`ssc_omp_adaptive` with every budget set to k (fixed-budget
     SSC-OMP), so the two agree bit for bit. ``gram`` is read as there.
     """
-    if not 1 <= k <= x.n - 2:
-        raise ValueError(f"k must be in [1, N-2] = [1, {x.n - 2}], got {k}")
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= x.n - 2:
+        raise ValueError(f"k must be an integer in [1, N-2] = [1, {x.n - 2}], got {k}")
     return ssc_omp_adaptive(x, KArray.uniform(k, x.n), eps, gram)
 
 

@@ -39,6 +39,8 @@ RESIDUAL_TOL = 1e-6
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 200
 START_SEED = 0
+# Lloyd iterations per k-means restart
+KMEANS_MAX_ITERS = 300
 # degrees are summed as dense row blocks of this many float64 entries (2 MB)
 ROW_BLOCK_ENTRIES = 1 << 18
 
@@ -77,14 +79,13 @@ class AffinityMatrix:
 class SpectralConfig:
     n_clusters: int
     kmeans_restarts: int = 20
-    kmeans_max_iters: int = 300
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
-        if self.kmeans_restarts < 1 or self.kmeans_max_iters < 1:
-            raise ValueError("kmeans_restarts and kmeans_max_iters must be positive")
+        if self.kmeans_restarts < 1:
+            raise ValueError("kmeans_restarts must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -258,7 +259,6 @@ def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
         vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0
     )
     assignments = _kmeans(
-        embedding, cfg.n_clusters, cfg.kmeans_restarts, cfg.kmeans_max_iters,
-        cfg.rng_seed,
+        embedding, cfg.n_clusters, cfg.kmeans_restarts, KMEANS_MAX_ITERS, cfg.rng_seed
     )
     return Labels(assignments, cfg.n_clusters)

@@ -297,6 +297,22 @@ class TestConfigFile:
         assert "unknown keys" in err
         assert "learning_rate" in err
 
+    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("k", 2.5), ("workers", 1.5)])
+    def test_config_value_parsed_with_the_flag_type(self, capsys, tmp_path, key, value):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"synth": SYNTH, key: value}))
+        with pytest.raises(SystemExit) as info:
+            main(["cluster", "--config", str(cfg_path)])
+        assert info.value.code == 2
+        assert f"argument --{key}: invalid int value: '{value}'" in capsys.readouterr().err
+
+    def test_null_config_value_keeps_the_default(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"synth": SYNTH, "k": None, "workers": None}))
+        code, out, _ = run(capsys, "cluster", "--config", str(cfg_path))
+        assert code == 0
+        assert "trial 0:" in out
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text("[1, 2]")

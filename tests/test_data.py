@@ -149,6 +149,13 @@ class TestLoadNpz:
         with pytest.raises(ValueError, match="2-d array"):
             load_npz(path, has_labels=True)
 
+    def test_values_error_names_the_file(self, tmp_path):
+        path = tmp_path / "flat.npz"
+        np.savez(path, values=np.ones(6))
+        with pytest.raises(ValueError) as info:
+            load_npz(path)
+        assert str(info.value).startswith(f"{path}: data must be a 2-d array")
+
     @pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf")])
     def test_non_integer_label_rejected(self, tmp_path, bad, shown):
         path = tmp_path / "fraclabels.npz"

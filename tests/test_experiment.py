@@ -21,7 +21,6 @@ from sscomp.experiment import (
     run_sweep,
     run_trial,
     run_trials,
-    worker_count,
     write_aggregate_csv,
     write_comparison_csv,
     write_plot_csv,
@@ -54,6 +53,7 @@ class TestExperimentConfig:
             ("method", "lasso"),
             ("n_clusters", 1),
             ("k", 0),
+            ("k", 2.5),
             ("eps", -1.0),
             ("trials", 0),
             ("samples_per_cluster", 0),
@@ -270,27 +270,16 @@ class TestRunTrials:
 
 
 class TestWorkerCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("SSCOMP_WORKERS", "8")
-        assert worker_count(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SSCOMP_WORKERS", "4")
-        assert worker_count() == 4
-
     def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("SSCOMP_WORKERS", raising=False)
-        assert worker_count() == 1
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a default run built a process pool")
 
-    def test_invalid_values(self, monkeypatch):
-        with pytest.raises(ValueError):
-            worker_count(0)
-        monkeypatch.setenv("SSCOMP_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("SSCOMP_WORKERS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        assert len(run_trials(small_config(trials=2))) == 2
+
+    def test_invalid_values(self):
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            run_trials(small_config(), workers=0)
 
 
 class TestAggregation:

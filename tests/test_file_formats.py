@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from sscomp.cli import main
 from sscomp.data import DataMatrix, Labels, load_csv, save_csv, save_labels
+from sscomp.experiment import compare, read_aggregate_csv, write_comparison_csv
 from sscomp.omp import CoefMatrix
 from sscomp.spectral import AffinityMatrix, build_affinity
 
@@ -67,6 +69,53 @@ class TestWriters:
         AffinityMatrix(sparse.csr_array((3, 3))).save_csv(affinity_path)
         assert coef_path.read_bytes() == b"row,col,value\r\n"
         assert affinity_path.read_bytes() == b"row,col,value\r\n"
+
+
+AGGREGATE_HEADER = b"dataset,n,samples,K,eps,sigma,seed,method,accr,time,conn,perc,ssr,sea,error"
+COMPARISON_HEADER = (
+    b"dataset,n,samples,K,eps,sigma,seed,accr_baseline,accr_adaptive,delta_accr,"
+    b"delta_conn,delta_perc,delta_ssr,delta_sea,time_ratio,adaptive_loses,error"
+)
+
+
+def aggregate_row(method, accr, time, conn, perc, ssr, sea):
+    return {"dataset": "d", "n": "3", "samples": "", "K": "8", "eps": "1e-06",
+            "sigma": "0.1", "seed": "4", "method": method, "accr": accr, "time": time,
+            "conn": conn, "perc": perc, "ssr": ssr, "sea": sea, "error": ""}
+
+
+class TestReports:
+    def test_sweep_files_and_printed_rows(self, tmp_path, capsys):
+        code = main(["sweep", "--synth", "3,2,12,8", "--k", "3", "--seed", "7",
+                     "--axis", "sigma", "--values", "0,0.2", "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert (tmp_path / "aggregate.csv").read_bytes().startswith(AGGREGATE_HEADER + b"\r\n")
+        rows = read_aggregate_csv(tmp_path / "aggregate.csv")
+        assert len(rows) == 4
+        assert out[:4] == [
+            f"noise_sigma={r['sigma']} {r['method']}: accr={r['accr']} time={r['time']} "
+            f"conn={r['conn']} perc={r['perc']} ssr={r['ssr']} sea={r['sea']}"
+            for r in rows
+        ]
+        plot = [b"x,series,value"] + [
+            f"{r['sigma']},{r['method']}.{m},{r[m]}".encode()
+            for r in rows for m in ("accr", "time", "conn", "perc", "ssr", "sea")
+        ]
+        assert (tmp_path / "plot.csv").read_bytes() == b"\r\n".join(plot) + b"\r\n"
+
+    def test_comparison_digits(self, tmp_path):
+        base = aggregate_row("omp", "91.2345", "0.123456", "0.654321", "45.6789",
+                             "12.3456", "0.876543")
+        adaptive = aggregate_row("adaptive-omp", "93.3579", "0.234567", "0.701234",
+                                 "47.1111", "10.0002", "0.912345")
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(compare([base], [adaptive]), path)
+        assert path.read_bytes() == (
+            COMPARISON_HEADER + b"\r\n"
+            b"d,3,,8,1e-06,0.1,4,91.2345,93.3579,2.1234,0.046913,1.4322,-2.3454,"
+            b"0.035802,1.9000,,\r\n"
+        )
 
 
 class TestParser:

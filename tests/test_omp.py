@@ -265,6 +265,8 @@ class TestSscOmp:
             ssc_omp(x, 5, 1e-6)
         with pytest.raises(ValueError, match=r"\[1, N-2\]"):
             ssc_omp(x, 0, 1e-6)
+        with pytest.raises(ValueError, match=r"\[1, N-2\]"):
+            ssc_omp(x, 2.5, 1e-6)
 
     def test_gram_reuse_changes_nothing(self, unit_matrix):
         from sscomp.adaptive import gram_matrix

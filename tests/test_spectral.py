@@ -40,7 +40,7 @@ def dense_reference_labels(a: AffinityMatrix, cfg: SpectralConfig) -> np.ndarray
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     embedding = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
     return _kmeans(embedding, cfg.n_clusters, cfg.kmeans_restarts,
-                   cfg.kmeans_max_iters, cfg.rng_seed)
+                   spectral.KMEANS_MAX_ITERS, cfg.rng_seed)
 
 
 def solver_logs(caplog) -> list[str]:
@@ -187,8 +187,6 @@ class TestSpectralConfig:
             SpectralConfig(n_clusters=1)
         with pytest.raises(ValueError):
             SpectralConfig(n_clusters=2, kmeans_restarts=0)
-        with pytest.raises(ValueError):
-            SpectralConfig(n_clusters=2, kmeans_max_iters=0)
         with pytest.raises(ValueError):
             SpectralConfig(n_clusters=2, rng_seed=-1)
 
