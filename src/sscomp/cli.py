@@ -8,10 +8,10 @@ Subcommands:
   synth     write a synthetic union-of-subspaces dataset to disk
   noise     corrupt an existing dataset file
 
-Every subcommand accepts --config pointing at a JSON object whose keys are
-flag names (underscored); explicit flags override the file. Each value is
-parsed with its flag's type, and null keeps the flag's default. Trials run
-on --workers processes (default 1, serial).
+An argument @FILE is replaced by the lines of FILE, one argument per line
+(``--k=3``, or ``--k`` and ``3`` on two lines), so ``sscomp cluster @run.args
+--k 5`` parses the file's flags first and a later flag overrides them.
+Trials run on --workers processes (default 1, serial).
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def _experiment_config(args, method: str | None = None) -> ExperimentConfig:
         noise_variance=args.noise_variance,
         noise_mode=args.noise_mode,
         seed=args.seed,
-        kmeans_restarts=args.restarts,
     )
 
 
@@ -275,13 +274,6 @@ def _cmd_noise(args) -> int:
     return 0
 
 
-def _add_config_arg(p) -> None:
-    p.add_argument(
-        "--config", metavar="JSON",
-        help="JSON file of default flag values (keys are flag names with underscores)",
-    )
-
-
 def _add_dataset_args(p) -> None:
     p.add_argument("--data", metavar="PATH",
                    help="dataset file: CSV rows of features with a trailing "
@@ -311,8 +303,6 @@ def _add_run_args(p) -> None:
     p.add_argument("--noise-variance", type=float, default=0.01)
     p.add_argument("--noise-mode", choices=["corrupt", "blend"], default="corrupt")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--restarts", type=int, default=20,
-                   help="k-means restarts in spectral clustering (default 20)")
     p.add_argument("--workers", type=int, default=1,
                    help="trial worker processes (default 1, serial)")
 
@@ -321,11 +311,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sscomp",
         description="Sparse subspace clustering with per-point dictionary budgets.",
+        fromfile_prefix_chars="@",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("cluster", help="run one configuration and report metrics")
-    _add_config_arg(p)
     _add_dataset_args(p)
     _add_run_args(p)
     p.add_argument("--out", metavar="JSON", help="write the full report as JSON")
@@ -334,7 +324,6 @@ def build_parser():
     p.set_defaults(func=_cmd_cluster)
 
     p = subs.add_parser("sweep", help="sweep one axis, both methods paired")
-    _add_config_arg(p)
     _add_dataset_args(p)
     _add_run_args(p)
     p.add_argument("--axis", required=True,
@@ -347,7 +336,6 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("compare", help="adaptive-minus-baseline deltas per row")
-    _add_config_arg(p)
     p.add_argument("baseline", help="aggregate CSV holding the omp rows")
     p.add_argument("adaptive", nargs="?", default=None,
                    help="aggregate CSV holding the adaptive-omp rows "
@@ -356,7 +344,6 @@ def build_parser():
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("k-array", help="dump per-point budgets as CSV")
-    _add_config_arg(p)
     _add_dataset_args(p)
     p.add_argument("--has-labels", action="store_true",
                    help="dataset file carries a trailing label column")
@@ -365,7 +352,6 @@ def build_parser():
     p.set_defaults(func=_cmd_k_array)
 
     p = subs.add_parser("synth", help="write a synthetic dataset file")
-    _add_config_arg(p)
     p.add_argument("--subspaces", type=int, required=True)
     p.add_argument("--dim", type=int, required=True, help="dimension of each subspace")
     p.add_argument("--ambient", type=int, required=True, help="ambient dimension")
@@ -378,7 +364,6 @@ def build_parser():
     p.set_defaults(func=_cmd_synth)
 
     p = subs.add_parser("noise", help="corrupt a dataset file")
-    _add_config_arg(p)
     p.add_argument("--in", dest="input", required=True, metavar="FILE")
     p.add_argument("--has-labels", action="store_true")
     p.add_argument("--sigma", type=float, required=True)
@@ -388,36 +373,12 @@ def build_parser():
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_noise)
 
-    return parser, subs.choices
-
-
-def _apply_config_file(argv: list[str], registry: dict) -> None:
-    if not argv or argv[0] not in registry or "--config" not in argv:
-        return
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValueError("--config needs a file argument")
-    with open(argv[at + 1]) as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
-        raise ValueError("--config file must hold a JSON object")
-    sub = registry[argv[0]]
-    actions = {action.dest: action for action in sub._actions}
-    unknown = sorted(set(overrides) - set(actions))
-    if unknown:
-        raise ValueError(f"--config has unknown keys: {unknown}")
-    # a string default goes through the flag's type as if typed on the
-    # command line, so a bad value ends in argparse's usage error
-    sub.set_defaults(**{dest: str(value) if actions[dest].type else value
-                        for dest, value in overrides.items() if value is not None})
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(argv, registry)
-        args = parser.parse_args(argv)
         return args.func(args)
     except (ExperimentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

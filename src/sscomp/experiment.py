@@ -118,31 +118,25 @@ class ExperimentConfig:
     noise_variance: float = 0.01
     noise_mode: str = "corrupt"
     seed: int = 0
-    kmeans_restarts: int = 20
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.n_clusters < 2:
-            raise ValueError("n_clusters must be at least 2")
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        for name, low in (("n_clusters", 2), ("k", 1), ("trials", 1),
+                          ("samples_per_cluster", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "samples_per_cluster":
+                continue
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.samples_per_cluster is not None and self.samples_per_cluster < 1:
-            raise ValueError("samples_per_cluster must be positive when given")
         if not 0.0 <= self.noise_sigma <= 1.0:
             raise ValueError("noise_sigma must lie in [0, 1]")
         if self.noise_variance <= 0.0:
             raise ValueError("noise_variance must be positive")
         if self.noise_mode not in ("corrupt", "blend"):
             raise ValueError("noise_mode must be 'corrupt' or 'blend'")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -251,11 +245,7 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
             x = normalize_columns(x)
         sample_hash = hashlib.sha1(indices.tobytes()).hexdigest()[:12]
 
-        spectral_cfg = SpectralConfig(
-            n_clusters=cfg.n_clusters,
-            kmeans_restarts=cfg.kmeans_restarts,
-            rng_seed=kmeans_seed,
-        )
+        spectral_cfg = SpectralConfig(n_clusters=cfg.n_clusters, rng_seed=kmeans_seed)
 
         def pipeline():
             if cfg.method == "adaptive-omp":
@@ -367,28 +357,30 @@ def run_sweep(
     For each sweep value the two methods derive their subsamples and noise
     from the same (seed, trial) streams, so rows are paired point sets. A
     failing (value, method) cell is recorded in its row's error column and
-    the sweep continues.
+    the sweep continues. An invalid sweep value is bad input, not a failing
+    cell: every cell's config is built first, so it raises ValueError
+    before any trial runs or any file is written.
 
     With ``out_dir`` set, writes aggregate.csv, plot.csv, and one JSON per
     trial under trials/.
     """
+    cells = [(value, dataclasses.replace(base, method=method, **{sweep.axis: value}))
+             for value in sweep.values for method in METHODS]
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         (out / "trials").mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in sweep.values:
-        for method in METHODS:
-            cfg = dataclasses.replace(base, method=method, **{sweep.axis: value})
-            try:
-                reports = run_trials(cfg, workers=workers)
-            except ExperimentError as exc:
-                rows.append(_error_row(cfg, str(exc)))
-                continue
-            rows.append(aggregate_reports(cfg, reports))
-            if out is not None:
-                for t, report in enumerate(reports):
-                    name = f"{sweep.axis}-{value}_{method}_trial{t}.json"
-                    write_trial_json(report, out / "trials" / name)
+    for value, cfg in cells:
+        try:
+            reports = run_trials(cfg, workers=workers)
+        except ExperimentError as exc:
+            rows.append(_error_row(cfg, str(exc)))
+            continue
+        rows.append(aggregate_reports(cfg, reports))
+        if out is not None:
+            for t, report in enumerate(reports):
+                name = f"{sweep.axis}-{value}_{cfg.method}_trial{t}.json"
+                write_trial_json(report, out / "trials" / name)
     if out is not None:
         write_aggregate_csv(rows, out / "aggregate.csv")
         write_plot_csv(rows, out / "plot.csv", axis=sweep.axis)

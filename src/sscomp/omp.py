@@ -145,12 +145,13 @@ class CoefMatrix:
 
     @classmethod
     def load_csv(cls, path, n: int) -> "CoefMatrix":
+        """Read a triplet CSV as :meth:`save_csv` writes it; the first line
+        must be the ``row,col,value`` header."""
         rows, cols, values = [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty triplet CSV")
+            if next(reader, None) != ["row", "col", "value"]:
+                raise ValueError(f"{path}: expected a row,col,value header")
             for line, row in enumerate(reader, start=2):
                 if len(row) != 3:
                     raise ValueError(f"{path}: line {line}: expected row,col,value")

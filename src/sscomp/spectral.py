@@ -39,7 +39,8 @@ RESIDUAL_TOL = 1e-6
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 200
 START_SEED = 0
-# Lloyd iterations per k-means restart
+# k-means restarts (best inertia kept) and Lloyd iterations per restart
+KMEANS_RESTARTS = 20
 KMEANS_MAX_ITERS = 300
 # degrees are summed as dense row blocks of this many float64 entries (2 MB)
 ROW_BLOCK_ENTRIES = 1 << 18
@@ -78,14 +79,11 @@ class AffinityMatrix:
 @dataclass(frozen=True)
 class SpectralConfig:
     n_clusters: int
-    kmeans_restarts: int = 20
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be at least 2")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -246,7 +244,7 @@ def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
     Embedding: eigenvectors of the n_clusters smallest eigenvalues of the
     normalized Laplacian (see _bottom_eigenvectors), rows rescaled to unit
     length (all-zero rows kept as zero). Assignment: k-means over the
-    embedded rows, kmeans++ seeding, cfg.kmeans_restarts restarts, lowest
+    embedded rows, kmeans++ seeding, KMEANS_RESTARTS restarts, lowest
     inertia kept. Deterministic under cfg.rng_seed.
     """
     if cfg.n_clusters > a.n:
@@ -259,6 +257,6 @@ def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
         vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0
     )
     assignments = _kmeans(
-        embedding, cfg.n_clusters, cfg.kmeans_restarts, KMEANS_MAX_ITERS, cfg.rng_seed
+        embedding, cfg.n_clusters, KMEANS_RESTARTS, KMEANS_MAX_ITERS, cfg.rng_seed
     )
     return Labels(assignments, cfg.n_clusters)

@@ -272,50 +272,67 @@ class TestSynthAndNoise:
         assert "not found" in err
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, capsys, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"synth": SYNTH, "k": 3, "seed": 7}))
-        code, out, _ = run(capsys, "cluster", "--config", str(cfg_path))
+def args_file(tmp_path, *lines):
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
+def exit_code(*argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code
+
+
+class TestArgumentFile:
+    def test_file_supplies_flags(self, capsys, tmp_path):
+        path = args_file(tmp_path, f"--synth={SYNTH}", "--k", "3", "--seed=7")
+        code, out, _ = run(capsys, "cluster", path)
         assert code == 0
         assert "accr=100.00" in out
 
-    def test_explicit_flags_override_config(self, capsys, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"synth": SYNTH, "k": 3, "method": "omp"}))
-        code, out, _ = run(
-            capsys, "cluster", "--config", str(cfg_path), "--method", "adaptive-omp"
-        )
+    def test_later_flag_overrides_the_file(self, capsys, tmp_path):
+        path = args_file(tmp_path, f"--synth={SYNTH}", "--k=3", "--method=omp")
+        code, out, _ = run(capsys, "cluster", path, "--method", "adaptive-omp")
         assert code == 0
         assert "method: adaptive-omp" in out
 
-    def test_unknown_config_keys_rejected(self, capsys, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"synth": SYNTH, "learning_rate": 0.1}))
-        code, _, err = run(capsys, "cluster", "--config", str(cfg_path))
-        assert code == 1
-        assert "unknown keys" in err
-        assert "learning_rate" in err
+    def test_unknown_flag_rejected(self, capsys, tmp_path):
+        path = args_file(tmp_path, f"--synth={SYNTH}", "--learning-rate=0.1")
+        assert exit_code("cluster", path) == 2
+        assert "unrecognized arguments: --learning-rate=0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["", "--k 3"], ids=["blank", "flag-and-value"])
+    def test_one_argument_per_line(self, capsys, tmp_path, line):
+        path = args_file(tmp_path, f"--synth={SYNTH}", line)
+        assert exit_code("cluster", path) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("trials", 2.5), ("k", 2.5), ("workers", 1.5)])
-    def test_config_value_parsed_with_the_flag_type(self, capsys, tmp_path, key, value):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"synth": SYNTH, key: value}))
-        with pytest.raises(SystemExit) as info:
-            main(["cluster", "--config", str(cfg_path)])
-        assert info.value.code == 2
+    def test_value_parsed_with_the_flag_type(self, capsys, tmp_path, key, value):
+        path = args_file(tmp_path, f"--synth={SYNTH}", f"--{key}={value}")
+        assert exit_code("cluster", path) == 2
         assert f"argument --{key}: invalid int value: '{value}'" in capsys.readouterr().err
 
-    def test_null_config_value_keeps_the_default(self, capsys, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"synth": SYNTH, "k": None, "workers": None}))
-        code, out, _ = run(capsys, "cluster", "--config", str(cfg_path))
-        assert code == 0
-        assert "trial 0:" in out
-
-    def test_config_must_be_object(self, capsys, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text("[1, 2]")
-        code, _, err = run(capsys, "cluster", "--config", str(cfg_path))
+    def test_untyped_value_is_parsed_as_text(self, capsys, tmp_path):
+        code, _, err = run(capsys, "cluster", args_file(tmp_path, "--synth=5"))
         assert code == 1
-        assert "JSON object" in err
+        assert err.startswith("error: --synth wants 4 comma-separated integers")
+
+    def test_choices_checked(self, capsys, tmp_path):
+        clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
+        x, y = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=0))
+        save_csv(x, clean, labels=y)
+        path = args_file(tmp_path, f"--in={clean}", "--has-labels", "--sigma=0.5",
+                         "--noise-mode=bogus", f"--out={noisy}")
+        assert exit_code("noise", path) == 2
+        assert "argument --noise-mode: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not noisy.exists()
+
+    def test_required_flags_from_the_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        path = args_file(tmp_path, f"--synth={SYNTH}", "--k=3", "--axis=k", "--values=3",
+                         f"--out-dir={out_dir}")
+        code, _, _ = run(capsys, "sweep", path)
+        assert code == 0
+        assert len(read_aggregate_csv(out_dir / "aggregate.csv")) == 2

@@ -45,23 +45,25 @@ class TestExperimentConfig:
         assert cfg.method == "omp"
         assert cfg.trials == 1
         assert cfg.noise_mode == "corrupt"
-        assert cfg.kmeans_restarts == 20
 
     @pytest.mark.parametrize(
         "field,value",
         [
             ("method", "lasso"),
             ("n_clusters", 1),
+            ("n_clusters", 2.5),
             ("k", 0),
             ("k", 2.5),
             ("eps", -1.0),
             ("trials", 0),
+            ("trials", 2.5),
             ("samples_per_cluster", 0),
+            ("samples_per_cluster", 2.5),
             ("noise_sigma", 1.5),
             ("noise_variance", 0.0),
             ("noise_mode", "additive"),
             ("seed", -1),
-            ("kmeans_restarts", 0),
+            ("seed", 2.5),
         ],
     )
     def test_validation(self, field, value):
@@ -335,6 +337,12 @@ class TestRunSweep:
         assert len(good) == 2 and len(bad) == 2
         assert all("cannot sample" in r["error"] for r in bad)
         assert all(r["accr"] == "" for r in bad)
+
+    def test_invalid_value_raises_before_any_trial(self, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="k must be an integer of at least 1, got 0"):
+            run_sweep(small_config(), SweepSpec("k", (3, 0)), out_dir=out)
+        assert not out.exists()
 
     def test_out_dir_artifacts(self, tmp_path):
         out = tmp_path / "sweep"

@@ -53,6 +53,14 @@ class TestCoefMatrix:
         back = CoefMatrix.load_csv(path, 5)
         assert (c.matrix != back.matrix).nnz == 0
 
+    @pytest.mark.parametrize("first_line", ["0,1,0.5", "foo,bar"])
+    def test_triplet_csv_needs_header(self, tmp_path, first_line):
+        path = tmp_path / "coefs.csv"
+        path.write_text(f"{first_line}\n1,0,0.25\n")
+        with pytest.raises(ValueError, match="row,col,value header") as info:
+            CoefMatrix.load_csv(path, 3)
+        assert str(path) in str(info.value)
+
     def test_frozen_buffers(self):
         c = CoefMatrix.from_triplets([0], [1], [1.0], 3)
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ def dense_reference_labels(a: AffinityMatrix, cfg: SpectralConfig) -> np.ndarray
     vectors = np.linalg.eigh(lap)[1][:, :cfg.n_clusters]
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     embedding = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
-    return _kmeans(embedding, cfg.n_clusters, cfg.kmeans_restarts,
+    return _kmeans(embedding, cfg.n_clusters, spectral.KMEANS_RESTARTS,
                    spectral.KMEANS_MAX_ITERS, cfg.rng_seed)
 
 
@@ -185,8 +185,6 @@ class TestSpectralConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectralConfig(n_clusters=1)
-        with pytest.raises(ValueError):
-            SpectralConfig(n_clusters=2, kmeans_restarts=0)
         with pytest.raises(ValueError):
             SpectralConfig(n_clusters=2, rng_seed=-1)
 
