@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_subspaces", "subspace_dim", "ambient_dim", "points_per_subspace"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if self.subspace_dim >= self.ambient_dim:
             raise ValueError("subspace_dim must be smaller than ambient_dim")
         if self.n_subspaces * self.subspace_dim > self.ambient_dim:

@@ -17,17 +17,27 @@ therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
 at N=2000, 3.2 GB at N=20000. The rank test bounds the squared distance
 of a candidate atom from the active span, because in Gram space only the
 square is formed and it carries ~1e-16 absolute rounding.
+
+A greedy step is a few numpy calls on length-N vectors, so at the sizes
+this package runs, call overhead rather than flops sets its cost;
+:func:`_greedy` says how the loop keeps that overhead down (preallocated
+buffers, a direct LAPACK triangular solve) with bit-identical outputs.
+Non-finite input is rejected where it enters: :func:`omp_solve` checks its
+target, :func:`ssc_omp_adaptive` a caller-passed Gram. Each self-expression
+call logs, at DEBUG on the ``sscomp`` logger, how many points stopped for
+each reason in :data:`STOPS`.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .adaptive import KArray, gram_matrix
 from .data import DataMatrix
@@ -42,6 +52,10 @@ ZERO_CORRELATION = 1e-14
 RANK_TOL = 1e-12
 # coefficients at or below this fraction of |target| are rounding dust
 COEF_DUST = 1e-12
+# why _greedy stopped, in the order ssc_omp_adaptive reports the counts
+STOPS = ("eps", "budget", "zero_correlation", "rank_fallback")
+
+logger = logging.getLogger("sscomp")
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,20 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
     self-expression). Passing ``gram`` states that the target is that
     excluded atom, so the first correlations are its Gram row.
 
+    At benchmark sizes a step is a handful of numpy calls on length-N
+    vectors, so call overhead, not flops, sets the cost. The loop
+    therefore allocates no length-N temporary per step: the selection
+    magnitudes, the new row and the correlation update are written into
+    buffers made once per call, with ``out=`` forms of the same IEEE
+    operations (a product, then a difference; no fused multiply-add), so
+    every bit matches the plain expressions. Selected and excluded atoms
+    get magnitude -inf, which the argmax never picks over a real value.
+    The final solve R c = Q^T y calls LAPACK ``dtrtrs`` directly on the
+    transposed factor, the call ``scipy.linalg.solve_triangular`` makes for
+    this C-ordered input, without its ~20 us of input checks per point
+    (a test pins the two bit for bit); the callers check their inputs for
+    non-finite values once instead.
+
     ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
     entries and carries ~1e-16 absolute rounding, so an atom with w below
     1e-6 is taken to lie in the active span and the fit falls back to a
@@ -185,7 +213,12 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
     ``COEF_DUST * |target|`` are rounding dust of an exact fit and are
     dropped at both exits.
 
-    Returns (support, coefficients) with entries in selection order.
+    Returns (support, coefficients, stop) with entries in selection order;
+    ``stop`` is the one of :data:`STOPS` that ended the loop: ``"eps"``
+    when the residual fell below ``eps`` (checked first), ``"budget"``
+    when the budget or the atoms ran out, ``"zero_correlation"`` when no
+    atom correlates above ``ZERO_CORRELATION`` with the residual, and
+    ``"rank_fallback"`` after the least-squares exit.
     """
     n_atoms = atoms.shape[1]
     cap = min(budget, n_atoms if exclude is None else n_atoms - 1)
@@ -194,9 +227,8 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
     xq = np.empty((cap, n_atoms))
     r_upper = np.zeros((cap, cap))
     qty = np.empty(cap)
-    blocked = np.zeros(n_atoms, dtype=bool)
-    if exclude is not None:
-        blocked[exclude] = True
+    mag = np.empty(n_atoms)
+    update = np.empty(n_atoms)
     target = np.asarray(target, dtype=np.float64)
     res2 = float(target @ target)
     dust = COEF_DUST * np.sqrt(res2)
@@ -206,12 +238,14 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
         corr = atoms.T @ target
 
     t = 0
-    coefs = None
     while t < cap and res2 >= eps * eps:
-        mag = np.abs(corr)
-        mag[blocked] = -np.inf
+        np.abs(corr, out=mag)
+        mag[support[:t]] = -np.inf
+        if exclude is not None:
+            mag[exclude] = -np.inf
         j = int(np.argmax(mag))
         if mag[j] < ZERO_CORRELATION:
+            stop = "zero_correlation"
             break
         row = gram[j] if gram is not None else atoms.T @ atoms[:, j]
         proj = xq[:t, j]
@@ -222,21 +256,37 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
             # system exists, fall back to a minimum-norm fit
             t += 1
             coefs, *_ = np.linalg.lstsq(atoms[:, support[:t]], target, rcond=None)
+            stop = "rank_fallback"
             break
         w = np.sqrt(w2)
         r_upper[:t, t] = proj
         r_upper[t, t] = w
-        xq[t] = (row - proj @ xq[:t]) / w
+        np.subtract(row, proj @ xq[:t], out=xq[t])
+        xq[t] /= w
         step = corr[j] / w
         qty[t] = step
-        corr -= step * xq[t]
+        np.multiply(xq[t], step, out=update)
+        corr -= update
         res2 -= step * step
-        blocked[j] = True
         t += 1
-    if coefs is None:
-        coefs = solve_triangular(r_upper[:t, :t], qty[:t])
+    else:  # no break: the residual or the budget ended the loop
+        stop = "eps" if res2 < eps * eps else "budget"
+    if stop != "rank_fallback":
+        coefs = _solve_upper(r_upper[:t, :t], qty[:t])
     keep = np.abs(coefs) > dust
-    return support[:t][keep], coefs[keep]
+    return support[:t][keep], coefs[keep], stop
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with r x = b for an upper-triangular r held row-major: LAPACK gets
+    r.T, a column-major lower-triangular matrix, and solves with its
+    transpose, the call ``solve_triangular(r, b)`` makes for this input."""
+    if not b.size:
+        return b.copy()
+    x, info = dtrtrs(r.T, b, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return x
 
 
 def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.ndarray:
@@ -252,7 +302,9 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
         raise ValueError(
             f"target has dimension {target.size}, dictionary has {dictionary.dim}"
         )
-    support, values = _greedy(
+    if not np.isfinite(target).all():
+        raise ValueError("target contains non-finite values")
+    support, values, _ = _greedy(
         dictionary.values, target, cfg.max_atoms, cfg.residual_threshold
     )
     out = np.zeros(dictionary.n)
@@ -281,9 +333,12 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     The solver reads the Gram X^T X for every correlation update; ``gram``
     may pass a precomputed one (from :func:`gram_matrix`, e.g. the one used
     for budget selection), otherwise it is computed here and held for the
-    call, 8 N^2 bytes. C is built straight into compressed sparse columns:
-    column i holds point i's support in selection order, which
-    :class:`CoefMatrix` sorts.
+    call, 8 N^2 bytes. A passed ``gram`` must be N x N and finite; checking
+    it is one O(N^2) pass, ~5 ms at N=2000. C is built straight into
+    compressed sparse columns: column i holds point i's support in
+    selection order, which :class:`CoefMatrix` sorts. One DEBUG line on the
+    ``sscomp`` logger gives the point count, nnz and how many points
+    stopped for each reason in :data:`STOPS`.
     """
     if not x.unit_normalized:
         raise ValueError("self-expression requires unit-normalized data")
@@ -295,11 +350,19 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
         )
     if gram is None:
         gram = gram_matrix(x)
-    supports, values = zip(*(
+    else:
+        gram = np.asarray(gram, dtype=np.float64)
+        if gram.shape != (x.n, x.n):
+            raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
+        if not np.isfinite(gram).all():
+            raise ValueError("gram contains non-finite values")
+    supports, values, stops = zip(*(
         _greedy(x.values, x.values[:, i], int(budget), eps, exclude=i, gram=gram)
         for i, budget in enumerate(k_array.sizes)
     ))
     indptr = np.cumsum([0] + [s.size for s in supports])
+    logger.debug("self-expression: %d points, nnz %d, stops %s", x.n, indptr[-1],
+                 " ".join(f"{name}={stops.count(name)}" for name in STOPS))
     return CoefMatrix(sparse.csc_array(
         (np.concatenate(values), np.concatenate(supports), indptr), shape=(x.n, x.n)
     ))

@@ -8,6 +8,7 @@ normalized Laplacian of A.
 from __future__ import annotations
 
 import logging
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -82,10 +83,10 @@ class SpectralConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 2:
-            raise ValueError("n_clusters must be at least 2")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        if not isinstance(self.n_clusters, numbers.Integral) or self.n_clusters < 2:
+            raise ValueError(f"n_clusters must be an integer of at least 2, got {self.n_clusters!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def build_affinity(c: CoefMatrix) -> AffinityMatrix:

@@ -234,6 +234,14 @@ class TestSynthetic:
             SyntheticSpec(4, 3, 10, 4, rng_seed=0)
         with pytest.raises(ValueError, match="positive"):
             SyntheticSpec(0, 2, 10, 4, rng_seed=0)
+        # fractional sizes and seeds would only fail later, inside numpy
+        for args, name in (((3.5, 2, 12, 8), "n_subspaces"), ((3, 2.5, 12, 8), "subspace_dim"),
+                           ((3, 2, 12.0, 8), "ambient_dim"),
+                           ((3, 2, 12, 8.5), "points_per_subspace")):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                SyntheticSpec(*args, rng_seed=0)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            SyntheticSpec(3, 2, 12, 8, rng_seed=0.5)
 
 
 class TestNoise:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from conftest import random_orthogonal
@@ -5,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import omp_reference
 from scipy import sparse
+from scipy.linalg import solve_triangular
 
 from sscomp import DataMatrix, normalize_columns
 from sscomp.adaptive import KArray
-from sscomp.omp import CoefMatrix, OmpConfig, _greedy, omp_solve, ssc_omp, ssc_omp_adaptive
+from sscomp.omp import (
+    RANK_TOL,
+    STOPS,
+    CoefMatrix,
+    OmpConfig,
+    _greedy,
+    _solve_upper,
+    omp_solve,
+    ssc_omp,
+    ssc_omp_adaptive,
+)
 
 
 def orthonormal_dictionary(dim: int, n_atoms: int, seed: int = 0) -> DataMatrix:
@@ -108,7 +121,7 @@ class TestOmpSolve:
             d = unit_matrix(10, 16, seed=100 + case)
             target = rng.standard_normal(10)
             budget = int(rng.integers(1, 7))
-            support, coefs = _greedy(d.values, target, budget, 1e-6)
+            support, coefs, _ = _greedy(d.values, target, budget, 1e-6)
             ref_support, ref_coefs = omp_reference(d.values, target, budget, 1e-6)
             assert support.tolist() == ref_support
             np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
@@ -126,6 +139,14 @@ class TestOmpSolve:
         d = unit_matrix(5, 6)
         with pytest.raises(ValueError, match="dimension"):
             omp_solve(d, np.ones(4), OmpConfig(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, unit_matrix, bad):
+        d = unit_matrix(5, 6, seed=8)
+        target = np.ones(5)
+        target[2] = bad
+        with pytest.raises(ValueError, match="target contains non-finite"):
+            omp_solve(d, target, OmpConfig(3))
 
     def test_requires_unit_dictionary(self):
         with pytest.raises(ValueError, match="unit-normalized"):
@@ -161,7 +182,7 @@ class TestOmpSolve:
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs = _greedy(atoms, target, 3, 0.0)
+        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
         assert 2 in support.tolist() and support.size == 3
         assert np.isfinite(coefs).all()
         residual = target - atoms[:, support] @ coefs
@@ -186,7 +207,7 @@ class TestOmpSolve:
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs = _greedy(atoms, target, 3, 0.0)
+        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
         assert len(calls) == 1
         assert 2 in support.tolist() and support.size == 3
         assert np.isfinite(coefs).all()
@@ -200,9 +221,24 @@ class TestOmpSolve:
         tilted = e1 + e2 + 0.3 * e3
         atoms = np.stack([tilted / np.linalg.norm(tilted), e1, e2], axis=1)
         target = (e1 + e2) / np.sqrt(2.0)
-        support, coefs = _greedy(atoms, target, 3, 0.0)
+        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
         assert sorted(support.tolist()) == [1, 2]
         np.testing.assert_allclose(coefs, [1 / np.sqrt(2.0)] * 2, atol=1e-12)
+
+    def test_stop_reasons(self):
+        d = orthonormal_dictionary(8, 8, seed=3)
+        exact = d.values[:, [1, 4]] @ [0.6, -0.8]
+        # eps is checked first: an exact fit on the last budgeted atom
+        # counts as reaching eps
+        assert _greedy(d.values, exact, 2, 1e-6)[2] == "eps"
+        assert _greedy(d.values, exact, 1, 1e-6)[2] == "budget"
+        assert _greedy(d.values, np.zeros(8), 3, 0.0)[2] == "zero_correlation"
+        e1, e2, e3 = np.eye(4)[:, 0], np.eye(4)[:, 1], np.eye(4)[:, 2]
+        near_dup = e1 + 1e-13 * e3
+        near_dup /= np.linalg.norm(near_dup)
+        atoms = np.stack([near_dup, e2, e1], axis=1)
+        target = (0.7 * e1 + 0.5 * e2 + 0.5 * e3) / np.linalg.norm([0.7, 0.5, 0.5])
+        assert _greedy(atoms, target, 3, 0.0)[2] == "rank_fallback"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -220,9 +256,37 @@ class TestOmpSolve:
         target = atoms[:, i]
         ref_support, ref_coefs = omp_reference(atoms, target, budget, eps, exclude=i)
         for gram in (None, atoms.T @ atoms):
-            support, coefs = _greedy(atoms, target, budget, eps, exclude=i, gram=gram)
+            support, coefs, _ = _greedy(atoms, target, budget, eps, exclude=i, gram=gram)
             assert support.tolist() == ref_support
             np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
+
+
+class TestTriangularSolve:
+    @pytest.mark.parametrize("cap", [1, 8, 16])
+    def test_lapack_call_matches_solve_triangular_bitwise(self, cap):
+        # _greedy solves on the leading t x t block of a row-major cap x cap
+        # factor: a strided view for t < cap, contiguous for t == cap. A
+        # scipy release that changes either call breaks this equality.
+        rng = np.random.default_rng(cap)
+        for case in range(200):
+            r_upper = np.zeros((cap, cap))
+            t = int(rng.integers(1, cap + 1))
+            r_upper[:t, :t] = np.triu(rng.standard_normal((t, t)))
+            # diagonals are the distances w >= sqrt(RANK_TOL) = 1e-6
+            w = np.sqrt(RANK_TOL) * 10.0 ** rng.uniform(0, 6, size=t)
+            w[rng.integers(t)] = np.sqrt(RANK_TOL)
+            r_upper[np.arange(t), np.arange(t)] = w
+            qty = rng.standard_normal(cap)
+            ours = _solve_upper(r_upper[:t, :t], qty[:t])
+            theirs = solve_triangular(r_upper[:t, :t], qty[:t])
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_empty_system(self):
+        assert _solve_upper(np.zeros((4, 4))[:0, :0], np.ones(4)[:0]).shape == (0,)
+
+    def test_singular_factor_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_upper(np.array([[1.0, 2.0], [0.0, 0.0]]), np.ones(2))
 
 
 class TestSscOmp:
@@ -344,3 +408,47 @@ class TestAdaptiveDriver:
         x = unit_matrix(5, 9, seed=16)
         with pytest.raises(ValueError, match="covers"):
             ssc_omp_adaptive(x, KArray.uniform(2, 8), 1e-6)
+
+    def test_non_finite_gram_rejected(self, unit_matrix):
+        x = unit_matrix(5, 9, seed=16)
+        gram = x.values.T @ x.values
+        gram[3, 4] = np.nan
+        with pytest.raises(ValueError, match="gram contains non-finite"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
+
+    def test_gram_shape_checked(self, unit_matrix):
+        x = unit_matrix(5, 9, seed=16)
+        gram = x.values.T @ x.values
+        with pytest.raises(ValueError, match="gram must be 9 x 9"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram[:8, :8])
+        with pytest.raises(ValueError, match="gram must be 9 x 9"):
+            ssc_omp(x, 2, 1e-6, gram=gram[:, :8])
+
+    def stop_log(self, caplog, x, budgets, eps):
+        with caplog.at_level(logging.DEBUG, logger="sscomp"):
+            c = ssc_omp_adaptive(x, budgets, eps)
+        lines = [r.getMessage() for r in caplog.records if r.name == "sscomp"]
+        assert len(lines) == 1
+        head, stops = lines[0].split(", stops ")
+        assert head == f"self-expression: {x.n} points, nnz {c.nnz}"
+        counts = dict(item.split("=") for item in stops.split())
+        assert list(counts) == list(STOPS)
+        return {name: int(n) for name, n in counts.items()}
+
+    def test_near_duplicates_counted_as_rank_fallbacks(self, caplog):
+        e1, e2, e3, e4 = np.eye(4)
+        values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + 1e-13 * e3, e2, e1, e4], axis=1)
+        x = normalize_columns(DataMatrix(values))
+        counts = self.stop_log(caplog, x, KArray.uniform(3, 5), 0.0)
+        assert counts["rank_fallback"] >= 1
+        assert sum(counts.values()) == 5
+
+    def test_exact_recovery_counted_as_eps_stops(self, caplog):
+        # every point lies in one 3-dim span, so 3 atoms fit it exactly and
+        # the budget of 4 is never reached (eps sits above the ~1e-16
+        # rounding of the Gram-space squared residual)
+        rng = np.random.default_rng(19)
+        basis = random_orthogonal(10, 20)[:, :3]
+        x = normalize_columns(DataMatrix(basis @ rng.standard_normal((3, 8))))
+        counts = self.stop_log(caplog, x, KArray.uniform(4, 8), 1e-6)
+        assert counts == {"eps": 8, "budget": 0, "zero_correlation": 0, "rank_fallback": 0}

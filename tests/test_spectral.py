@@ -44,8 +44,10 @@ def dense_reference_labels(a: AffinityMatrix, cfg: SpectralConfig) -> np.ndarray
 
 
 def solver_logs(caplog) -> list[str]:
+    """The spectral module's DEBUG lines on the ``sscomp`` logger (the
+    self-expression stage logs its own line there too)."""
     return [r.getMessage() for r in caplog.records
-            if r.name == "sscomp" and r.levelno == logging.DEBUG]
+            if r.name == "sscomp" and r.levelno == logging.DEBUG and r.module == "spectral"]
 
 
 class TestAffinityMatrix:
@@ -187,6 +189,10 @@ class TestSpectralConfig:
             SpectralConfig(n_clusters=1)
         with pytest.raises(ValueError):
             SpectralConfig(n_clusters=2, rng_seed=-1)
+        with pytest.raises(ValueError, match="n_clusters must be an integer"):
+            SpectralConfig(n_clusters=2.5)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            SpectralConfig(n_clusters=2, rng_seed=0.5)
 
 
 class TestSpectralCluster:
