@@ -331,8 +331,8 @@ def generate_synthetic(spec: SyntheticSpec):
 def _check_noise_args(sigma: float, variance: float) -> None:
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"noise rate sigma must be in [0, 1], got {sigma}")
-    if variance <= 0.0:
-        raise ValueError("noise variance must be positive")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, got {variance}")
 
 
 def _perturbed_values(x: DataMatrix, sigma: float, variance: float, rng):

@@ -26,6 +26,7 @@ from .data import (
     DataMatrix,
     Labels,
     SyntheticSpec,
+    _check_noise_args,
     add_gaussian_noise,
     blend_gaussian_noise,
     generate_synthetic,
@@ -42,7 +43,7 @@ from .metrics import (
     subspace_preserving_rate,
     timed,
 )
-from .omp import ssc_omp, ssc_omp_adaptive
+from .omp import check_eps, ssc_omp, ssc_omp_adaptive
 from .spectral import SpectralConfig, build_affinity, spectral_cluster
 
 __all__ = [
@@ -129,12 +130,8 @@ class ExperimentConfig:
                 continue
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if not 0.0 <= self.noise_sigma <= 1.0:
-            raise ValueError("noise_sigma must lie in [0, 1]")
-        if self.noise_variance <= 0.0:
-            raise ValueError("noise_variance must be positive")
+        check_eps(self.eps)
+        _check_noise_args(self.noise_sigma, self.noise_variance)
         if self.noise_mode not in ("corrupt", "blend"):
             raise ValueError("noise_mode must be 'corrupt' or 'blend'")
 

@@ -3,7 +3,8 @@
 Each point is approximated as a sparse combination of the other points via
 orthogonal matching pursuit: repeatedly pick the atom most correlated with
 the current residual, re-fit by least squares on the active set, and stop on
-a sparsity budget or when the residual norm drops below a threshold. Stacking
+a sparsity budget, when the residual norm drops below a threshold, or when
+the best atom already lies in the span of the active set. Stacking
 the per-point coefficient vectors gives the self-expressive matrix C with a
 zero diagonal.
 
@@ -16,7 +17,9 @@ Gram rows at O(N t) per step (t atoms selected so far). Both methods
 therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
 at N=2000, 3.2 GB at N=20000. The rank test bounds the squared distance
 of a candidate atom from the active span, because in Gram space only the
-square is formed and it carries ~1e-16 absolute rounding.
+square is formed and it carries ~1e-16 absolute rounding. An atom inside
+that span ends the pursuit before it is added, so every exit solves the
+same nonsingular triangular system.
 
 A greedy step is a few numpy calls on length-N vectors, so at the sizes
 this package runs, call overhead rather than flops sets its cost;
@@ -53,9 +56,20 @@ RANK_TOL = 1e-12
 # coefficients at or below this fraction of |target| are rounding dust
 COEF_DUST = 1e-12
 # why _greedy stopped, in the order ssc_omp_adaptive reports the counts
-STOPS = ("eps", "budget", "zero_correlation", "rank_fallback")
+STOPS = ("eps", "budget", "zero_correlation", "rank")
 
 logger = logging.getLogger("sscomp")
+
+
+def check_eps(eps: float, name: str = "eps") -> None:
+    """Reject a residual threshold that is negative, nan or infinite.
+
+    eps = 0 is valid and runs each pursuit to its budget. The loop tracks
+    the squared residual with ~1e-16 absolute rounding, so any eps below
+    ~1e-8 |target| acts as 0.
+    """
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -64,17 +78,17 @@ class OmpConfig:
 
     The threshold is compared against the absolute Euclidean norm of the
     residual; targets are unit-norm throughout this package, so absolute and
-    relative readings coincide.
+    relative readings coincide. A threshold below ~1e-8 acts as 0 (see
+    :func:`check_eps`).
     """
 
     max_atoms: int
     residual_threshold: float = 1e-6
 
     def __post_init__(self):
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be a positive integer")
-        if self.residual_threshold < 0:
-            raise ValueError("residual_threshold must be nonnegative")
+        if not isinstance(self.max_atoms, numbers.Integral) or self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be a positive integer, got {self.max_atoms!r}")
+        check_eps(self.residual_threshold, "residual_threshold")
 
 
 def save_triplets(path, rows, cols, values) -> None:
@@ -208,17 +222,23 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
 
     ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
     entries and carries ~1e-16 absolute rounding, so an atom with w below
-    1e-6 is taken to lie in the active span and the fit falls back to a
-    minimum-norm least squares on ``atoms``. Coefficients at or below
-    ``COEF_DUST * |target|`` are rounding dust of an exact fit and are
-    dropped at both exits.
+    1e-6 is taken to lie in the active span. The loop stops before adding
+    it: the residual r is orthogonal to that span, so the atom's
+    correlation is at most w |r| < 1e-6 |r|, and no candidate correlates
+    more. Every exit therefore solves the same nonsingular factor, and a
+    near-duplicate of a selected atom gets no weight. Coefficients at or
+    below ``COEF_DUST * |target|`` are rounding dust of an exact fit and
+    are dropped.
 
     Returns (support, coefficients, stop) with entries in selection order;
     ``stop`` is the one of :data:`STOPS` that ended the loop: ``"eps"``
     when the residual fell below ``eps`` (checked first), ``"budget"``
     when the budget or the atoms ran out, ``"zero_correlation"`` when no
     atom correlates above ``ZERO_CORRELATION`` with the residual, and
-    ``"rank_fallback"`` after the least-squares exit.
+    ``"rank"`` when the best atom lies within ``RANK_TOL`` of the active
+    span (it is not added). The squared residual is tracked as |y|^2 minus
+    the steps' squares, with ~1e-16 absolute rounding, so an ``eps`` below
+    ~1e-8 |target| acts as 0.
     """
     n_atoms = atoms.shape[1]
     cap = min(budget, n_atoms if exclude is None else n_atoms - 1)
@@ -250,14 +270,12 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
         row = gram[j] if gram is not None else atoms.T @ atoms[:, j]
         proj = xq[:t, j]
         w2 = float(row[j] - proj @ proj)
-        support[t] = j
         if w2 < RANK_TOL:
-            # atom numerically inside span(active set): no triangular
-            # system exists, fall back to a minimum-norm fit
-            t += 1
-            coefs, *_ = np.linalg.lstsq(atoms[:, support[:t]], target, rcond=None)
-            stop = "rank_fallback"
+            # atom numerically inside span(active set): adding it would
+            # make the factor singular, so the fit keeps the atoms it has
+            stop = "rank"
             break
+        support[t] = j
         w = np.sqrt(w2)
         r_upper[:t, t] = proj
         r_upper[t, t] = w
@@ -271,8 +289,7 @@ def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
         t += 1
     else:  # no break: the residual or the budget ended the loop
         stop = "eps" if res2 < eps * eps else "budget"
-    if stop != "rank_fallback":
-        coefs = _solve_upper(r_upper[:t, :t], qty[:t])
+    coefs = _solve_upper(r_upper[:t, :t], qty[:t])
     keep = np.abs(coefs) > dust
     return support[:t][keep], coefs[keep], stop
 
@@ -338,12 +355,12 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     compressed sparse columns: column i holds point i's support in
     selection order, which :class:`CoefMatrix` sorts. One DEBUG line on the
     ``sscomp`` logger gives the point count, nnz and how many points
-    stopped for each reason in :data:`STOPS`.
+    stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
+    nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`).
     """
     if not x.unit_normalized:
         raise ValueError("self-expression requires unit-normalized data")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_eps(eps)
     if k_array.n != x.n:
         raise ValueError(
             f"budget vector covers {k_array.n} points, data has {x.n}"

@@ -47,7 +47,10 @@ def k_array_reference(values: np.ndarray, k: int):
 def omp_reference(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
                   exclude: int | None = None):
     """Naive greedy pursuit: re-solve the full least squares from scratch
-    every iteration instead of updating a factorization.
+    every iteration instead of updating a factorization. The pursuit stops,
+    without adding it, at a best atom whose squared distance from the span
+    of the selected ones is below 1e-12, so the selected set keeps full
+    rank.
 
     Returns (selected indices in order, coefficients over them).
     """
@@ -68,6 +71,12 @@ def omp_reference(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float
                 best, best_mag = j, mag
         if best < 0 or best_mag < 1e-14:
             break
+        if selected:
+            sub = atoms[:, selected]
+            along, *_ = np.linalg.lstsq(sub, atoms[:, best], rcond=None)
+            gap = atoms[:, best] - sub @ along
+            if gap @ gap < 1e-12:
+                break
         selected.append(best)
         sub = atoms[:, selected]
         coefs, *_ = np.linalg.lstsq(sub, target, rcond=None)

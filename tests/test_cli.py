@@ -75,6 +75,12 @@ class TestCluster:
         assert code == 0
         assert "accr=100.00" in out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_eps_named(self, capsys, bad):
+        code, _, err = run(capsys, "cluster", "--synth", SYNTH, "--eps", bad)
+        assert code == 1
+        assert "eps must be a finite number" in err
+
     def test_data_and_synth_conflict(self, capsys):
         code, _, err = run(
             capsys, "cluster", "--data", "x.csv", "--synth", SYNTH

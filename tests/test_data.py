@@ -313,6 +313,9 @@ class TestNoise:
             blend_gaussian_noise(x, -0.1)
         with pytest.raises(ValueError, match="variance"):
             add_gaussian_noise(x, 0.5, variance=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="variance must be positive and finite"):
+                blend_gaussian_noise(x, 0.5, variance=bad)
 
     def test_blend_changes_every_column(self):
         rng = np.random.default_rng(11)

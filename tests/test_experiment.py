@@ -55,12 +55,16 @@ class TestExperimentConfig:
             ("k", 0),
             ("k", 2.5),
             ("eps", -1.0),
+            ("eps", np.nan),
+            ("eps", np.inf),
             ("trials", 0),
             ("trials", 2.5),
             ("samples_per_cluster", 0),
             ("samples_per_cluster", 2.5),
             ("noise_sigma", 1.5),
             ("noise_variance", 0.0),
+            ("noise_variance", np.nan),
+            ("noise_variance", np.inf),
             ("noise_mode", "additive"),
             ("seed", -1),
             ("seed", 2.5),

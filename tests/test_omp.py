@@ -34,7 +34,10 @@ class TestOmpConfig:
         with pytest.raises(ValueError):
             OmpConfig(max_atoms=0)
         with pytest.raises(ValueError):
-            OmpConfig(max_atoms=2, residual_threshold=-1e-9)
+            OmpConfig(max_atoms=2.5)
+        for bad in (-1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="residual_threshold must be a finite number"):
+                OmpConfig(max_atoms=2, residual_threshold=bad)
         OmpConfig(max_atoms=1, residual_threshold=0.0)
 
 
@@ -171,46 +174,38 @@ class TestOmpSolve:
             coefs = omp_solve(d, target, OmpConfig(m, 1e-10))
             assert np.linalg.norm(d.values @ coefs - target) < 1e-10
 
-    def test_rank_deficient_set_falls_back_to_min_norm(self):
-        # third atom numerically inside the span of the first: selection
-        # still happens (its correlation clears the dust threshold), the
-        # triangular update degenerates, and the solve must come back
-        # finite via least squares instead of erroring
+    def test_rank_deficient_set_stops_before_in_span_atom(self):
+        # third atom numerically inside the span of the first: its
+        # correlation clears the dust threshold, but adding it would make
+        # the triangular factor singular, so the pursuit stops and solves
+        # on the two atoms it holds
         e1, e2, e3 = np.eye(4)[:, 0], np.eye(4)[:, 1], np.eye(4)[:, 2]
         near_dup = e1 + 1e-13 * e3
         near_dup /= np.linalg.norm(near_dup)
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
-        assert 2 in support.tolist() and support.size == 3
-        assert np.isfinite(coefs).all()
+        support, coefs, stop = _greedy(atoms, target, 3, 0.0)
+        assert stop == "rank"
+        assert support.size == 2 and not {0, 2} <= set(support.tolist())
+        assert np.abs(coefs).max() <= 1.0
         residual = target - atoms[:, support] @ coefs
-        # no worse than stopping before the degenerate atom
         assert np.linalg.norm(residual) <= 0.51
 
-    def test_squared_distance_bound_falls_back(self, monkeypatch):
+    def test_squared_distance_bound_stops(self):
         # the near-duplicate lies 1e-9 from the active span: above RANK_TOL
         # as a distance, below it as the squared distance the Gram-space
-        # loop measures, so the solve must take the least-squares exit
-        calls = []
-        real = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        # loop measures, so the pursuit stops before adding it
         e1, e2, e3 = np.eye(4)[:, 0], np.eye(4)[:, 1], np.eye(4)[:, 2]
         near_dup = e1 + 1e-9 * e3
         near_dup /= np.linalg.norm(near_dup)
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
-        assert len(calls) == 1
-        assert 2 in support.tolist() and support.size == 3
-        assert np.isfinite(coefs).all()
+        support, coefs, stop = _greedy(atoms, target, 3, 0.0)
+        assert stop == "rank"
+        assert support.size == 2 and not {0, 2} <= set(support.tolist())
+        assert np.abs(coefs).max() <= 1.0
         residual = target - atoms[:, support] @ coefs
         assert np.linalg.norm(residual) <= 0.51
 
@@ -238,7 +233,7 @@ class TestOmpSolve:
         near_dup /= np.linalg.norm(near_dup)
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = (0.7 * e1 + 0.5 * e2 + 0.5 * e3) / np.linalg.norm([0.7, 0.5, 0.5])
-        assert _greedy(atoms, target, 3, 0.0)[2] == "rank_fallback"
+        assert _greedy(atoms, target, 3, 0.0)[2] == "rank"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -259,6 +254,36 @@ class TestOmpSolve:
             support, coefs, _ = _greedy(atoms, target, budget, eps, exclude=i, gram=gram)
             assert support.tolist() == ref_support
             np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
+
+
+    def test_near_duplicate_dictionaries_match_reference(self):
+        # random atoms plus near-duplicates 1e-13..1e-7 away, all below
+        # the rank edge; each target is a point with no near-duplicate of
+        # its own, coded over the others
+        rank_stops = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            dim, n = int(rng.integers(4, 12)), int(rng.integers(3, 12))
+            base = rng.standard_normal((dim, n))
+            base /= np.linalg.norm(base, axis=0)
+            dups = rng.choice(n, size=int(rng.integers(1, n + 1)))
+            offsets = rng.standard_normal((dim, dups.size))
+            offsets *= 10.0 ** rng.uniform(-13, -7, size=dups.size)
+            atoms = np.hstack([base, base[:, dups] + offsets])
+            atoms /= np.linalg.norm(atoms, axis=0)
+            lone = np.setdiff1d(np.arange(n), dups)
+            if not lone.size:
+                continue
+            i = int(rng.choice(lone))
+            budget = int(rng.integers(1, 8))
+            ref_support, ref_coefs = omp_reference(atoms, atoms[:, i], budget, 0.0, exclude=i)
+            for gram in (None, atoms.T @ atoms):
+                support, coefs, stop = _greedy(atoms, atoms[:, i], budget, 0.0,
+                                               exclude=i, gram=gram)
+                assert support.tolist() == ref_support
+                np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
+                rank_stops += stop == "rank"
+        assert rank_stops > 0
 
 
 class TestTriangularSolve:
@@ -416,6 +441,12 @@ class TestAdaptiveDriver:
         with pytest.raises(ValueError, match="gram contains non-finite"):
             ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
 
+    @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
+    def test_bad_eps_rejected(self, unit_matrix, bad):
+        x = unit_matrix(5, 9, seed=16)
+        with pytest.raises(ValueError, match="eps must be a finite number"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), bad)
+
     def test_gram_shape_checked(self, unit_matrix):
         x = unit_matrix(5, 9, seed=16)
         gram = x.values.T @ x.values
@@ -435,13 +466,26 @@ class TestAdaptiveDriver:
         assert list(counts) == list(STOPS)
         return {name: int(n) for name, n in counts.items()}
 
-    def test_near_duplicates_counted_as_rank_fallbacks(self, caplog):
+    def test_near_duplicates_counted_as_rank_stops(self, caplog):
         e1, e2, e3, e4 = np.eye(4)
         values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + 1e-13 * e3, e2, e1, e4], axis=1)
         x = normalize_columns(DataMatrix(values))
         counts = self.stop_log(caplog, x, KArray.uniform(3, 5), 0.0)
-        assert counts["rank_fallback"] >= 1
+        assert counts["rank"] >= 1
         assert sum(counts.values()) == 5
+
+    @pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-7])
+    def test_near_duplicates_get_bounded_coefficients(self, gap):
+        # a near-duplicate pair spans its own tiny direction: a fit over
+        # both would weight them by ~1/gap with opposite signs, and those
+        # weights would swamp A = |C| + |C^T|
+        e1, e2, e3, e4 = np.eye(4)
+        values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + gap * e3, e2, e1, e4], axis=1)
+        x = normalize_columns(DataMatrix(values))
+        c = ssc_omp(x, 3, 0.0).to_dense()
+        assert np.abs(c).max() <= 1.0 + 1e-6
+        residual = x.values[:, 0] - x.values @ c[:, 0]
+        assert np.linalg.norm(residual) <= 0.51
 
     def test_exact_recovery_counted_as_eps_stops(self, caplog):
         # every point lies in one 3-dim span, so 3 atoms fit it exactly and
@@ -451,4 +495,4 @@ class TestAdaptiveDriver:
         basis = random_orthogonal(10, 20)[:, :3]
         x = normalize_columns(DataMatrix(basis @ rng.standard_normal((3, 8))))
         counts = self.stop_log(caplog, x, KArray.uniform(4, 8), 1e-6)
-        assert counts == {"eps": 8, "budget": 0, "zero_correlation": 0, "rank_fallback": 0}
+        assert counts == {"eps": 8, "budget": 0, "zero_correlation": 0, "rank": 0}
