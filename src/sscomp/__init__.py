@@ -40,7 +40,6 @@ from .metrics import (
     sea_ratio,
     subspace_preserving_error,
     subspace_preserving_rate,
-    timed,
 )
 from .omp import CoefMatrix, OmpConfig, omp_solve, ssc_omp, ssc_omp_adaptive
 from .spectral import (
@@ -96,6 +95,5 @@ __all__ = [
     "ssc_omp_adaptive",
     "subspace_preserving_error",
     "subspace_preserving_rate",
-    "timed",
     "__version__",
 ]

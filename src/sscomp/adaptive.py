@@ -10,6 +10,7 @@ inter-point angles.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +65,31 @@ class NeighborhoodScore:
 
 @dataclass(frozen=True)
 class KArray:
-    """Per-point integer sparsity budgets with the shared base budget."""
+    """Per-point integer sparsity budgets with the shared base budget.
+
+    The one owner of the budget rule: every budget is an integer in
+    [1, N-2] (at least one atom, and strictly below the N-1 atoms left once
+    the point itself is excluded), and ``base_k`` is an integer of at least
+    1. Budgets of a non-integer dtype are rejected, not truncated.
+    """
 
     sizes: np.ndarray
     base_k: int
 
     def __post_init__(self):
-        sizes = np.array(self.sizes, dtype=np.int64)
+        sizes = np.array(self.sizes)
         if sizes.ndim != 1 or sizes.size < 3:
             raise ValueError("sizes must be a 1-d vector covering at least 3 points")
-        if self.base_k < 1:
-            raise ValueError("base_k must be a positive integer")
-        # budget must stay meaningful: >= 1 atom, and strictly below the
-        # N-1 atoms available once the point itself is excluded
+        bounds = f"[1, N-2] = [1, {sizes.size - 2}]"
+        if not np.issubdtype(sizes.dtype, np.integer):
+            raise ValueError(f"budgets must be integers in {bounds}, got dtype {sizes.dtype}")
         if sizes.min() < 1:
-            raise ValueError("every budget must be at least 1")
+            raise ValueError(f"every budget must be at least 1, in {bounds}, got {sizes.min()}")
         if sizes.max() > sizes.size - 2:
-            raise ValueError(
-                f"budgets must not exceed N-2 = {sizes.size - 2}, got {sizes.max()}"
-            )
+            raise ValueError(f"every budget must be at most N-2, in {bounds}, got {sizes.max()}")
+        if not isinstance(self.base_k, numbers.Integral) or self.base_k < 1:
+            raise ValueError(f"base_k must be an integer of at least 1, got {self.base_k!r}")
+        sizes = sizes.astype(np.int64, copy=False)
         sizes.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
 
@@ -92,7 +99,8 @@ class KArray:
 
     @classmethod
     def uniform(cls, k: int, n: int) -> "KArray":
-        return cls(np.full(n, k, dtype=np.int64), k)
+        """Budget k for each of n points; a fractional k is rejected."""
+        return cls(np.full(n, k), k)
 
 
 def gram_matrix(x: DataMatrix) -> np.ndarray:
@@ -121,8 +129,10 @@ def neighborhood_scores(
     """
     if not x.unit_normalized:
         raise ValueError("neighborhood_scores requires unit-normalized columns")
-    if k < 2:
-        raise ValueError(f"k must be at least 2 (k-1 neighbors are averaged), got {k}")
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(
+            f"k must be an integer of at least 2 (k-1 neighbors are averaged), got {k!r}"
+        )
     if k > x.n - 1:
         raise ValueError(f"k must be at most N-1 = {x.n - 1}, got {k}")
     g = gram if gram is not None else gram_matrix(x)

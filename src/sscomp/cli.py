@@ -33,9 +33,9 @@ from .data import (
     save_npz,
 )
 from .experiment import (
-    _AXIS_TO_COLUMN,
-    _METRIC_FORMATS,
     METHODS,
+    METRIC_FORMATS,
+    SWEEP_AXES,
     ExperimentConfig,
     ExperimentError,
     SweepSpec,
@@ -47,22 +47,12 @@ from .experiment import (
     run_sweep,
     run_trial_detailed,
     run_trials,
-    write_aggregate_csv,
     write_comparison_csv,
-    write_trial_json,
 )
 
-_AXIS_ALIASES = {
-    "n": "n_clusters",
-    "n_clusters": "n_clusters",
-    "k": "k",
-    "samples": "samples_per_cluster",
-    "samples_per_cluster": "samples_per_cluster",
-    "sigma": "noise_sigma",
-    "noise_sigma": "noise_sigma",
-}
-
-_INT_AXES = {"n_clusters", "k", "samples_per_cluster"}
+# --axis spelling -> sweep axis: the field name or its lowercased column name
+_AXIS_ALIASES = {spelling: axis for axis, (column, _) in SWEEP_AXES.items()
+                 for spelling in (axis, column.lower())}
 
 
 def _parse_synth(text: str, seed: int, random_bases: bool) -> SyntheticSpec:
@@ -165,7 +155,7 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("--values must list at least one value")
-    cast = int if axis in _INT_AXES else float
+    _, cast = SWEEP_AXES[axis]
     try:
         return tuple(cast(p) for p in parts)
     except ValueError:
@@ -183,11 +173,11 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(base, sweep, out_dir=out_dir, workers=args.workers)
     failures = [row for row in rows if row["error"]]
     for row in rows:
-        tag = f"{axis}={row[_AXIS_TO_COLUMN[axis]]} {row['method']}"
+        tag = f"{axis}={row[SWEEP_AXES[axis][0]]} {row['method']}"
         if row["error"]:
             print(f"{tag}: ERROR {row['error']}")
         else:
-            print(f"{tag}: " + " ".join(f"{m}={row[m]}" for m in _METRIC_FORMATS))
+            print(f"{tag}: " + " ".join(f"{m}={row[m]}" for m in METRIC_FORMATS))
     print(f"wrote {out_dir / 'aggregate.csv'}")
     if failures:
         print(f"{len(failures)} sweep rows failed", file=sys.stderr)
@@ -328,7 +318,8 @@ def build_parser():
     _add_run_args(p)
     p.add_argument("--axis", required=True,
                    choices=sorted(_AXIS_ALIASES),
-                   help="axis to sweep (aliases: n, k, samples, sigma)")
+                   help="axis to sweep (aliases: "
+                        f"{', '.join(column.lower() for column, _ in SWEEP_AXES.values())})")
     p.add_argument("--values", required=True, metavar="V1,V2,...",
                    help="comma-separated sweep values")
     p.add_argument("--out-dir", required=True, metavar="DIR",

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from .metrics import (
     sea_ratio,
     subspace_preserving_error,
     subspace_preserving_rate,
-    timed,
 )
 from .omp import check_eps, ssc_omp, ssc_omp_adaptive
 from .spectral import SpectralConfig, build_affinity, spectral_cluster
@@ -68,26 +68,25 @@ __all__ = [
 
 METHODS = ("omp", "adaptive-omp")
 
-_AXIS_TO_COLUMN = {
-    "n_clusters": "n",
-    "k": "K",
-    "samples_per_cluster": "samples",
-    "noise_sigma": "sigma",
+# sweepable ExperimentConfig field -> (its aggregate column, value type)
+SWEEP_AXES = {
+    "n_clusters": ("n", int),
+    "k": ("K", int),
+    "samples_per_cluster": ("samples", int),
+    "noise_sigma": ("sigma", float),
 }
-
-SWEEP_AXES = tuple(_AXIS_TO_COLUMN)
 
 # aggregate columns that identify a run, shared by both methods' rows
 _RUN_KEY = ("dataset", "n", "samples", "K", "eps", "sigma", "seed")
 
 # aggregate column (a MetricsReport.to_dict key) -> format of its mean
-_METRIC_FORMATS = {"accr": ".4f", "time": ".6f", "conn": ".6f",
-                   "perc": ".4f", "ssr": ".4f", "sea": ".6f"}
+METRIC_FORMATS = {"accr": ".4f", "time": ".6f", "conn": ".6f",
+                  "perc": ".4f", "ssr": ".4f", "sea": ".6f"}
 
 # metrics whose adaptive-minus-baseline difference the comparison reports
 _DELTA_METRICS = ("accr", "conn", "perc", "ssr", "sea")
 
-CSV_COLUMNS = [*_RUN_KEY, "method", *_METRIC_FORMATS, "error"]
+CSV_COLUMNS = [*_RUN_KEY, "method", *METRIC_FORMATS, "error"]
 
 COMPARISON_COLUMNS = [
     *_RUN_KEY, "accr_baseline", "accr_adaptive",
@@ -145,7 +144,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
         values = tuple(self.values)
         if not values:
             raise ValueError("sweep values must be nonempty")
@@ -244,18 +243,16 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
 
         spectral_cfg = SpectralConfig(n_clusters=cfg.n_clusters, rng_seed=kmeans_seed)
 
-        def pipeline():
-            if cfg.method == "adaptive-omp":
-                gram = gram_matrix(x)
-                budgets = compute_k_array(x, cfg.k, gram=gram)
-                coefs = ssc_omp_adaptive(x, budgets, cfg.eps, gram=gram)
-            else:
-                coefs = ssc_omp(x, cfg.k, cfg.eps)
-            affinity = build_affinity(coefs)
-            predicted = spectral_cluster(affinity, spectral_cfg)
-            return coefs, affinity, predicted
-
-        (coefs, affinity, predicted), seconds = timed(pipeline)
+        start = time.perf_counter()
+        if cfg.method == "adaptive-omp":
+            gram = gram_matrix(x)
+            budgets = compute_k_array(x, cfg.k, gram=gram)
+            coefs = ssc_omp_adaptive(x, budgets, cfg.eps, gram=gram)
+        else:
+            coefs = ssc_omp(x, cfg.k, cfg.eps)
+        affinity = build_affinity(coefs)
+        predicted = spectral_cluster(affinity, spectral_cfg)
+        seconds = time.perf_counter() - start
 
         report = MetricsReport(
             accr=accuracy(predicted, truth),
@@ -292,8 +289,9 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsReport]:
     processes when more than one. The dataset is loaded once, here, and
     passed to every trial. Trial order in the result is by trial index
     either way."""
-    if workers < 1:
-        raise ValueError("worker count must be positive")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"worker count must be positive (an integer of at least 1), "
+                         f"got {workers!r}")
     context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
                f"seed={cfg.seed}")
     try:
@@ -313,7 +311,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsReport]:
 def mean_metrics(reports: list[MetricsReport]) -> dict:
     """Mean of each metric over trials, keyed by its aggregate column."""
     scores = [r.to_dict() for r in reports]
-    return {m: float(np.mean([s[m] for s in scores])) for m in _METRIC_FORMATS}
+    return {m: float(np.mean([s[m] for s in scores])) for m in METRIC_FORMATS}
 
 
 def _key_fields(cfg: ExperimentConfig) -> dict:
@@ -333,7 +331,7 @@ def _key_fields(cfg: ExperimentConfig) -> dict:
 def aggregate_reports(cfg: ExperimentConfig, reports: list[MetricsReport]) -> dict:
     """Mean over trials as one aggregate CSV row."""
     means = mean_metrics(reports)
-    formatted = {m: f"{means[m]:{fmt}}" for m, fmt in _METRIC_FORMATS.items()}
+    formatted = {m: f"{means[m]:{fmt}}" for m, fmt in METRIC_FORMATS.items()}
     return {**_key_fields(cfg), **formatted, "error": ""}
 
 
@@ -409,14 +407,14 @@ def read_aggregate_csv(path) -> list[dict]:
 def write_plot_csv(rows: list[dict], path, axis: str = "noise_sigma") -> None:
     """Long-format plot data: one (x, series, value) line per metric per
     aggregate row, series named method.metric."""
-    x_col = _AXIS_TO_COLUMN[axis]
+    x_col, _ = SWEEP_AXES[axis]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "series", "value"])
         for row in rows:
             if row["error"]:
                 continue
-            for metric in _METRIC_FORMATS:
+            for metric in METRIC_FORMATS:
                 writer.writerow([row[x_col], f"{row['method']}.{metric}", row[metric]])
 
 
@@ -457,7 +455,7 @@ def compare(baseline_rows: list[dict], adaptive_rows: list[dict]) -> list[dict]:
         row.update(
             accr_baseline=b["accr"],
             accr_adaptive=a["accr"],
-            **{f"delta_{m}": f"{d:{_METRIC_FORMATS[m]}}" for m, d in deltas.items()},
+            **{f"delta_{m}": f"{d:{METRIC_FORMATS[m]}}" for m, d in deltas.items()},
             time_ratio="" if base_time <= 0 else f"{float(a['time']) / base_time:.4f}",
             adaptive_loses="yes" if deltas["accr"] < 0 else "",
             error="",

@@ -4,12 +4,12 @@ Six quantities: clustering accuracy after optimal label matching (ACCR),
 wall-clock runtime (TIME), worst per-cluster algebraic connectivity (CONN),
 percentage of subspace-preserving points (PERC), the l1 mass each point
 spends outside its own cluster (SSR), and the symmetrization-efficiency
-ratio nnz(A) / (2 nnz(C)) (SEA).
+ratio nnz(A) / (2 nnz(C)) (SEA). TIME is measured by the trial runner,
+:func:`sscomp.experiment.run_trial`; the other five are computed here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "subspace_preserving_rate",
     "subspace_preserving_error",
     "sea_ratio",
-    "timed",
 ]
 
 
@@ -172,11 +171,3 @@ def sea_ratio(c: CoefMatrix) -> float:
     pattern = c.matrix.astype(bool)
     union = pattern + pattern.T
     return union.nnz / (2.0 * c.nnz)
-
-
-def timed(task):
-    """Run a zero-argument callable, returning (result, wall seconds) on a
-    monotonic clock."""
-    start = time.perf_counter()
-    result = task()
-    return result, time.perf_counter() - start

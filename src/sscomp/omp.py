@@ -329,17 +329,15 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
     return out
 
 
-def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6,
-            gram: np.ndarray | None = None) -> CoefMatrix:
+def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6) -> CoefMatrix:
     """Self-expression with a uniform budget: column i of the result codes
     point i over all other points with at most k atoms.
 
     This is :func:`ssc_omp_adaptive` with every budget set to k (fixed-budget
-    SSC-OMP), so the two agree bit for bit. ``gram`` is read as there.
+    SSC-OMP), so the two agree bit for bit; :class:`KArray` checks that k is
+    an integer in [1, N-2].
     """
-    if not isinstance(k, numbers.Integral) or not 1 <= k <= x.n - 2:
-        raise ValueError(f"k must be an integer in [1, N-2] = [1, {x.n - 2}], got {k}")
-    return ssc_omp_adaptive(x, KArray.uniform(k, x.n), eps, gram)
+    return ssc_omp_adaptive(x, KArray.uniform(k, x.n), eps)
 
 
 def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,

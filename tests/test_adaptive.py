@@ -81,6 +81,10 @@ class TestNeighborhoodScores:
         with pytest.raises(ValueError, match="at most N-1"):
             neighborhood_scores(x, 8)
         neighborhood_scores(x, 7)
+        for score in (neighborhood_scores, compute_k_array):
+            for k in (2.5, 3.0):
+                with pytest.raises(ValueError, match=f"an integer of at least 2 .*got {k}"):
+                    score(x, k)
 
     def test_requires_unit_columns(self):
         with pytest.raises(ValueError, match="unit-normalized"):
@@ -104,6 +108,32 @@ class TestKArrayType:
         with pytest.raises(ValueError, match="N-2"):
             KArray(np.array([1, 1, 1, 3]), 2)
         KArray(np.array([1, 1, 1, 2]), 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: KArray(np.full(24, 2.7), 2),
+        lambda: KArray(np.full(24, 2.0), 2),
+        lambda: KArray.uniform(2.5, 10),
+    ], ids=["fractional", "whole-float", "uniform-fractional"])
+    def test_non_integer_budgets_rejected(self, make):
+        with pytest.raises(ValueError, match=r"budgets must be integers in \[1, N-2\]"):
+            make()
+
+    @pytest.mark.parametrize("base_k", [2.5, 0, None])
+    def test_base_k_must_be_positive_integer(self, base_k):
+        with pytest.raises(ValueError, match=f"base_k must be an integer of at least 1, "
+                                             f"got {base_k!r}"):
+            KArray(np.full(24, 2), base_k)
+
+    def test_range_checked_before_base_k(self):
+        # a uniform budget of 0 is out of range whatever base_k says
+        with pytest.raises(ValueError, match=r"at least 1, in \[1, N-2\] = \[1, 8\], got 0"):
+            KArray.uniform(0, 10)
+        with pytest.raises(ValueError, match=r"at most N-2, in \[1, N-2\] = \[1, 8\], got 9"):
+            KArray.uniform(9, 10)
+
+    def test_integer_dtypes_stored_as_int64(self):
+        ka = KArray(np.full(6, 2, dtype=np.int32), np.int64(2))
+        assert ka.sizes.dtype == np.int64
 
     def test_uniform_helper(self):
         ka = KArray.uniform(3, 10)

@@ -126,6 +126,40 @@ class TestSweep:
         rows = read_aggregate_csv(out_dir / "aggregate.csv")
         assert sum(1 for r in rows if not r["error"]) == 2
 
+    # --axis spelling, the ExperimentConfig field it sweeps, its aggregate
+    # column, and one value for that axis
+    AXIS_SPELLINGS = [
+        ("n", "n_clusters", "n", "2"),
+        ("n_clusters", "n_clusters", "n", "2"),
+        ("k", "k", "K", "2"),
+        ("samples", "samples_per_cluster", "samples", "6"),
+        ("samples_per_cluster", "samples_per_cluster", "samples", "6"),
+        ("sigma", "noise_sigma", "sigma", "0.2"),
+        ("noise_sigma", "noise_sigma", "sigma", "0.2"),
+    ]
+
+    @pytest.mark.parametrize("spelling, field, column, value", AXIS_SPELLINGS,
+                             ids=[a[0] for a in AXIS_SPELLINGS])
+    def test_every_axis_spelling(self, capsys, tmp_path, spelling, field, column, value):
+        out_dir = tmp_path / "sweep"
+        code, out, _ = run(
+            capsys,
+            "sweep", "--synth", SYNTH, "--k", "3",
+            "--axis", spelling, "--values", value, "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert f"{field}={value} omp" in out
+        assert f"{field}={value} adaptive-omp" in out
+        rows = read_aggregate_csv(out_dir / "aggregate.csv")
+        assert [r[column] for r in rows] == [value, value]
+
+    def test_help_lists_the_seven_axis_spellings(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        spellings = ",".join(sorted(a[0] for a in self.AXIS_SPELLINGS))
+        assert f"--axis {{{spellings}}}" in out
+
     def test_unknown_axis_value_type(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

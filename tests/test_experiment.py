@@ -286,6 +286,9 @@ class TestWorkerCount:
     def test_invalid_values(self):
         with pytest.raises(ValueError, match="worker count must be positive"):
             run_trials(small_config(), workers=0)
+        for workers in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"must be positive.*got {workers!r}"):
+                run_trials(small_config(trials=2), workers=workers)
 
 
 class TestAggregation:

@@ -19,7 +19,6 @@ from sscomp.metrics import (
     sea_ratio,
     subspace_preserving_error,
     subspace_preserving_rate,
-    timed,
 )
 from sscomp.omp import CoefMatrix
 from sscomp.spectral import AffinityMatrix
@@ -288,16 +287,3 @@ class TestPercSsrDuality:
         assert (perc == 100.0) == (ssr == 0.0)
         assert perc == pytest.approx(perc_reference(c.to_dense(), assignment))
         assert ssr == pytest.approx(ssr_reference(c.to_dense(), assignment))
-
-
-class TestTimed:
-    def test_returns_result_and_elapsed(self):
-        result, elapsed = timed(lambda: sum(range(1000)))
-        assert result == 499500
-        assert elapsed >= 0.0
-
-    def test_measures_sleep(self):
-        import time as time_mod
-
-        _, elapsed = timed(lambda: time_mod.sleep(0.02))
-        assert elapsed >= 0.015

@@ -370,7 +370,7 @@ class TestSscOmp:
 
         x = unit_matrix(7, 15, seed=13)
         plain = ssc_omp(x, 4, 1e-6)
-        reused = ssc_omp(x, 4, 1e-6, gram=gram_matrix(x))
+        reused = ssc_omp_adaptive(x, KArray.uniform(4, x.n), 1e-6, gram=gram_matrix(x))
         rows_a, cols_a, vals_a = plain.triplets()
         rows_b, cols_b, vals_b = reused.triplets()
         assert rows_a.tolist() == rows_b.tolist()
@@ -452,8 +452,6 @@ class TestAdaptiveDriver:
         gram = x.values.T @ x.values
         with pytest.raises(ValueError, match="gram must be 9 x 9"):
             ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram[:8, :8])
-        with pytest.raises(ValueError, match="gram must be 9 x 9"):
-            ssc_omp(x, 2, 1e-6, gram=gram[:, :8])
 
     def stop_log(self, caplog, x, budgets, eps):
         with caplog.at_level(logging.DEBUG, logger="sscomp"):
