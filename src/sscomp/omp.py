@@ -21,10 +21,17 @@ square is formed and it carries ~1e-16 absolute rounding. An atom inside
 that span ends the pursuit before it is added, so every exit solves the
 same nonsingular triangular system.
 
-A greedy step is a few numpy calls on length-N vectors, so at the sizes
-this package runs, call overhead rather than flops sets its cost;
-:func:`_greedy` says how the loop keeps that overhead down (preallocated
-buffers, a direct LAPACK triangular solve) with bit-identical outputs.
+Points are pursued in lockstep, in blocks of :data:`BLOCK`: every live
+point of a block takes its next step in the same few numpy calls on
+(block, N) arrays, because at the sizes this package runs, call overhead
+rather than flops sets the cost of a one-point step. A point leaves its
+block when it stops, and only then are the block's arrays compacted.
+:func:`ssc_omp_adaptive` forms the blocks over the points sorted by
+budget, so a block's points tend to stop together; :func:`omp_solve`
+runs a block of one. The batched products round differently from
+one-point products, so coefficients can differ from a point-by-point
+pursuit in the last bits (see :func:`_pursue`).
+
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
 target, :func:`ssc_omp_adaptive` a caller-passed Gram. Each self-expression
 call logs, at DEBUG on the ``sscomp`` logger, how many points stopped for
@@ -55,8 +62,13 @@ ZERO_CORRELATION = 1e-14
 RANK_TOL = 1e-12
 # coefficients at or below this fraction of |target| are rounding dust
 COEF_DUST = 1e-12
-# why _greedy stopped, in the order ssc_omp_adaptive reports the counts
+# why a pursuit stopped, in the order ssc_omp_adaptive reports the counts
 STOPS = ("eps", "budget", "zero_correlation", "rank")
+# points pursued in lockstep per block. Against 32, on benchmark-shaped
+# data: 16 was 14-19% slower on the faces shape (N=640); 64 and 128 were
+# 2-6% faster there but up to 14% slower on the synth shape (N=2000), whose
+# (budget, BLOCK, N) row stack then falls out of cache
+BLOCK = 32
 
 logger = logging.getLogger("sscomp")
 
@@ -189,109 +201,154 @@ class CoefMatrix:
         return cls.from_triplets(rows, cols, values, n)
 
 
-def _greedy(atoms: np.ndarray, target: np.ndarray, budget: int, eps: float,
-            exclude: int | None = None, gram: np.ndarray | None = None):
-    """Core OMP loop over the columns of ``atoms``, run on Gram rows only.
+def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: float,
+            exclude: np.ndarray | None = None):
+    """OMP for a block of b targets in lockstep, run on Gram rows only.
+
+    ``corr`` is the (b, N) array of first correlations X^T y_p, which the
+    loop updates in place; ``res2`` holds the squared target norms |y_p|^2
+    and ``caps`` the per-target atom budgets, at most the N atoms (N - 1
+    with ``exclude``). ``rows(j, out)`` writes the Gram rows G[j] of an
+    index vector j into the (len(j), N) array ``out``. ``exclude``, when
+    given, masks one atom per target out of selection (the point itself in
+    self-expression).
 
     The active set's orthonormal basis q_0..q_{t-1} is never formed in
-    X-space; the loop holds its image ``xq[s] = atoms.T @ q_s`` instead,
-    which is all it reads. For a candidate atom j, ``xq[:t, j]`` is its
+    X-space; each target holds its image ``xq[s] = X^T q_s`` instead, which
+    is all the loop reads. For a candidate atom j, ``xq[:t, j]`` is its
     projection onto the basis and ``G[j, j] - |xq[:t, j]|^2`` its squared
-    distance w^2 from the active span, so each step costs O(N t): the new
-    row ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the
-    correlations X^T r, and the squared residual norm drops by
-    ``(corr[j] / w)^2``. ``gram`` supplies the rows G[j] as a precomputed
-    X^T X; without it each row is computed from ``atoms`` at O(d N).
-    ``exclude`` masks one atom out of selection (the point itself in
-    self-expression). Passing ``gram`` states that the target is that
-    excluded atom, so the first correlations are its Gram row.
+    distance w^2 from the active span, so a step costs O(N t) per target:
+    the new row ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the
+    correlations, and the squared residual drops by ``(corr[j] / w)^2``.
 
-    At benchmark sizes a step is a handful of numpy calls on length-N
-    vectors, so call overhead, not flops, sets the cost. The loop
-    therefore allocates no length-N temporary per step: the selection
-    magnitudes, the new row and the correlation update are written into
-    buffers made once per call, with ``out=`` forms of the same IEEE
-    operations (a product, then a difference; no fused multiply-add), so
-    every bit matches the plain expressions. Selected and excluded atoms
-    get magnitude -inf, which the argmax never picks over a real value.
-    The final solve R c = Q^T y calls LAPACK ``dtrtrs`` directly on the
-    transposed factor, the call ``scipy.linalg.solve_triangular`` makes for
-    this C-ordered input, without its ~20 us of input checks per point
-    (a test pins the two bit for bit); the callers check their inputs for
-    non-finite values once instead.
+    Every live target takes step t at once, so a step is a fixed handful of
+    numpy calls for the whole block, not per target: one argmax over the
+    (b, N) magnitudes, one gather of the b selected Gram rows (straight into
+    the new ``xq`` rows), one batched ``matmul`` for those rows and one
+    correlation update. Selected and excluded atoms get magnitude -inf,
+    which the argmax never picks over a real value. ``xq`` is held
+    step-major, (cap, b, N), so the rows a step writes form one contiguous
+    (b, N) block. A target leaves the block when it stops; the per-target
+    arrays are compacted in place only then, so the live targets always
+    fill their leading rows. Callers that want few compactions pass targets
+    with similar budgets together.
+
+    Rounding: the batched ``matmul`` runs one BLAS product per target, the
+    squared projection norms are summed by ``einsum``, and the new rows are
+    scaled by 1/w rather than divided by w (a multiply is the cheaper pass
+    over (b, N)). Each of these rounds differently from a one-target,
+    one-division loop, so coefficients differ from it in the last bits:
+    by at most ~2.5e-15 on benchmark-shaped data, whose supports were
+    equal.
+
+    Each target ends with one triangular solve R c = Q^T y, a direct LAPACK
+    ``dtrtrs`` call (see :func:`_solve_upper`), and coefficients at or below
+    ``COEF_DUST * |y|`` are dropped as rounding dust of an exact fit. The
+    callers check their inputs for non-finite values once.
 
     ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
     entries and carries ~1e-16 absolute rounding, so an atom with w below
-    1e-6 is taken to lie in the active span. The loop stops before adding
-    it: the residual r is orthogonal to that span, so the atom's
-    correlation is at most w |r| < 1e-6 |r|, and no candidate correlates
-    more. Every exit therefore solves the same nonsingular factor, and a
-    near-duplicate of a selected atom gets no weight. Coefficients at or
-    below ``COEF_DUST * |target|`` are rounding dust of an exact fit and
-    are dropped.
+    1e-6 is taken to lie in the active span. The target stops before adding
+    it: its residual is orthogonal to that span, so the atom's correlation
+    is at most w |r| < 1e-6 |r|, and no candidate correlates more. Every
+    exit therefore solves a nonsingular factor, and a near-duplicate of a
+    selected atom gets no weight.
 
-    Returns (support, coefficients, stop) with entries in selection order;
-    ``stop`` is the one of :data:`STOPS` that ended the loop: ``"eps"``
-    when the residual fell below ``eps`` (checked first), ``"budget"``
-    when the budget or the atoms ran out, ``"zero_correlation"`` when no
-    atom correlates above ``ZERO_CORRELATION`` with the residual, and
-    ``"rank"`` when the best atom lies within ``RANK_TOL`` of the active
-    span (it is not added). The squared residual is tracked as |y|^2 minus
-    the steps' squares, with ~1e-16 absolute rounding, so an ``eps`` below
-    ~1e-8 |target| acts as 0.
+    Returns one (support, coefficients, stop) per target, in block order,
+    entries in selection order; ``stop`` is the one of :data:`STOPS` that
+    ended its pursuit: ``"eps"`` when the residual fell below ``eps``
+    (checked first), ``"budget"`` when its cap was reached,
+    ``"zero_correlation"`` when no atom correlates above
+    ``ZERO_CORRELATION`` with the residual, and ``"rank"`` when the best
+    atom lies within ``RANK_TOL`` of the active span (it is not added). The
+    squared residual is tracked as |y|^2 minus the steps' squares, with
+    ~1e-16 absolute rounding, so an ``eps`` below ~1e-8 |y| acts as 0.
     """
-    n_atoms = atoms.shape[1]
-    cap = min(budget, n_atoms if exclude is None else n_atoms - 1)
-    support = np.empty(cap, dtype=np.int64)
-    # row-major, so xq[t] is a contiguous row
-    xq = np.empty((cap, n_atoms))
-    r_upper = np.zeros((cap, cap))
-    qty = np.empty(cap)
-    mag = np.empty(n_atoms)
-    update = np.empty(n_atoms)
-    target = np.asarray(target, dtype=np.float64)
-    res2 = float(target @ target)
+    b, n = corr.shape
+    cap = int(caps.max())
+    # step-major, so the live targets' rows xq[t, :live] are one contiguous block
+    xq = np.empty((cap, b, n))
+    r_upper = np.zeros((b, cap, cap))
+    qty = np.empty((b, cap))
+    # column 0: the excluded atom; columns 1..t: the support
+    taken = np.empty((b, cap + 1), dtype=np.int64)
+    first = 1
+    if exclude is not None:
+        taken[:, 0] = exclude
+        first = 0
+    mag = np.empty((b, n))
+    update = np.empty((b, n))
+    res2 = np.array(res2, dtype=np.float64)
     dust = COEF_DUST * np.sqrt(res2)
-    if gram is not None:
-        corr = np.array(gram[exclude], dtype=np.float64)
-    else:
-        corr = atoms.T @ target
-
+    caps = np.array(caps)
+    slot = np.arange(b)  # block position of each live target
+    offset = np.arange(b) * n  # flat index of row p in mag and corr
+    out = [None] * b
+    eps2 = eps * eps
+    live = b
     t = 0
-    while t < cap and res2 >= eps * eps:
-        np.abs(corr, out=mag)
-        mag[support[:t]] = -np.inf
-        if exclude is not None:
-            mag[exclude] = -np.inf
-        j = int(np.argmax(mag))
-        if mag[j] < ZERO_CORRELATION:
-            stop = "zero_correlation"
-            break
-        row = gram[j] if gram is not None else atoms.T @ atoms[:, j]
-        proj = xq[:t, j]
-        w2 = float(row[j] - proj @ proj)
-        if w2 < RANK_TOL:
-            # atom numerically inside span(active set): adding it would
-            # make the factor singular, so the fit keeps the atoms it has
-            stop = "rank"
-            break
-        support[t] = j
+
+    def retire(reason, filled):
+        """Solve and emit every live target with a nonzero reason (1 + its
+        index in STOPS), then move the others, with their first ``filled``
+        xq rows, to the front; returns the others' rows before the move."""
+        nonlocal live
+        for p in np.flatnonzero(reason):
+            coefs = _solve_upper(r_upper[p, :t, :t], qty[p, :t])
+            keep = np.abs(coefs) > dust[p]
+            out[slot[p]] = (taken[p, 1:t + 1][keep], coefs[keep], STOPS[reason[p] - 1])
+        stay = np.flatnonzero(reason == 0)
+        live = stay.size
+        xq[:filled, :live] = xq[:filled, stay]
+        r_upper[:live, :t, :t] = r_upper[stay, :t, :t]
+        qty[:live, :t] = qty[stay, :t]
+        taken[:live, :t + 1] = taken[stay, :t + 1]
+        for a in (corr, res2, dust, caps, slot):
+            a[:live] = a[stay]
+        return stay
+
+    while live:
+        # eps is checked before the budget, then the selection's stops
+        reason = np.where(res2[:live] < eps2, 1, np.where(t >= caps[:live], 2, 0))
+        if reason.any():
+            retire(reason, t)
+            if not live:
+                break
+        np.abs(corr[:live], out=mag[:live])
+        mag.put(taken[:live, first:t + 1] + offset[:live, None], -np.inf)
+        j = mag[:live].argmax(axis=1)
+        at = offset[:live] + j
+        new = xq[t, :live]
+        rows(j, new)
+        proj = xq[:t, np.arange(live), j].T
+        w2 = new[np.arange(live), j] - np.einsum("ij,ij->i", proj, proj)
+        reason = np.where(mag.take(at) < ZERO_CORRELATION, 3, np.where(w2 < RANK_TOL, 4, 0))
+        if reason.any():
+            # the atom is numerically inside span(active set) for a rank
+            # stop: adding it would make the factor singular, so the fit
+            # keeps the atoms it has
+            stay = retire(reason, t + 1)
+            if not live:
+                break
+            j, proj, w2 = j[stay], proj[stay], w2[stay]
+            at = offset[:live] + j
+            new = xq[t, :live]
+        taken[:live, t + 1] = j
         w = np.sqrt(w2)
-        r_upper[:t, t] = proj
-        r_upper[t, t] = w
-        np.subtract(row, proj @ xq[:t], out=xq[t])
-        xq[t] /= w
-        step = corr[j] / w
-        qty[t] = step
-        np.multiply(xq[t], step, out=update)
-        corr -= update
-        res2 -= step * step
+        r_upper[:live, :t, t] = proj
+        r_upper[:live, t, t] = w
+        if t:
+            np.matmul(proj[:, None, :], xq[:t, :live].transpose(1, 0, 2),
+                      out=update[:live, None, :])
+            new -= update[:live]
+        new *= (1.0 / w)[:, None]
+        step = corr.take(at) / w
+        qty[:live, t] = step
+        np.multiply(new, step[:, None], out=update[:live])
+        corr[:live] -= update[:live]
+        res2[:live] -= step * step
         t += 1
-    else:  # no break: the residual or the budget ended the loop
-        stop = "eps" if res2 < eps * eps else "budget"
-    coefs = _solve_upper(r_upper[:t, :t], qty[:t])
-    keep = np.abs(coefs) > dust
-    return support[:t][keep], coefs[keep], stop
+    return out
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,8 +378,14 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
         )
     if not np.isfinite(target).all():
         raise ValueError("target contains non-finite values")
-    support, values, _ = _greedy(
-        dictionary.values, target, cfg.max_atoms, cfg.residual_threshold
+    atoms = dictionary.values
+
+    def rows(j, out):
+        np.matmul(atoms[:, j].T, atoms, out=out)
+
+    [(support, values, _)] = _pursue(
+        rows, (atoms.T @ target)[None], np.array([target @ target]),
+        np.array([min(cfg.max_atoms, dictionary.n)]), cfg.residual_threshold,
     )
     out = np.zeros(dictionary.n)
     out[support] = values
@@ -349,11 +412,16 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     may pass a precomputed one (from :func:`gram_matrix`, e.g. the one used
     for budget selection), otherwise it is computed here and held for the
     call, 8 N^2 bytes. A passed ``gram`` must be N x N and finite; checking
-    it is one O(N^2) pass, ~5 ms at N=2000. C is built straight into
-    compressed sparse columns: column i holds point i's support in
-    selection order, which :class:`CoefMatrix` sorts. One DEBUG line on the
-    ``sscomp`` logger gives the point count, nnz and how many points
-    stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
+    it is one O(N^2) pass, ~5 ms at N=2000. The points run through
+    :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
+    of the budgets so that a block's points tend to stop together (unsorted
+    blocks run to their largest budget and compact on nearly every step).
+    Each block holds its own arrays, ~BLOCK * (budget + 3) * N floats
+    besides the Gram (5.6 MB for the fixed budget 8 at N=2000). C is
+    built straight into compressed sparse columns: column i holds point
+    i's support in selection order, which :class:`CoefMatrix` sorts. One
+    DEBUG line on the ``sscomp`` logger gives the point count, nnz and how
+    many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
     nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`).
     """
     if not x.unit_normalized:
@@ -371,10 +439,21 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
             raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
         if not np.isfinite(gram).all():
             raise ValueError("gram contains non-finite values")
-    supports, values, stops = zip(*(
-        _greedy(x.values, x.values[:, i], int(budget), eps, exclude=i, gram=gram)
-        for i, budget in enumerate(k_array.sizes)
-    ))
+
+    def rows(j, out):
+        # argmax indices are in range; "clip" skips the copy of ``out``
+        # that take buffers through in its default "raise" mode
+        gram.take(j, axis=0, out=out, mode="clip")
+
+    found = [None] * x.n
+    order = np.argsort(k_array.sizes, kind="stable")
+    for lo in range(0, x.n, BLOCK):
+        block = order[lo:lo + BLOCK]
+        solved = _pursue(rows, gram[block], gram[block, block], k_array.sizes[block], eps,
+                         exclude=block)
+        for i, result in zip(block, solved):
+            found[i] = result
+    supports, values, stops = zip(*found)
     indptr = np.cumsum([0] + [s.size for s in supports])
     logger.debug("self-expression: %d points, nnz %d, stops %s", x.n, indptr[-1],
                  " ".join(f"{name}={stops.count(name)}" for name in STOPS))

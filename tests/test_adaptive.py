@@ -5,6 +5,7 @@ from oracles import k_array_reference
 
 from sscomp import DataMatrix, normalize_columns
 from sscomp.adaptive import (
+    PARTITION_ROWS,
     KArray,
     NeighborhoodScore,
     compute_k_array,
@@ -73,6 +74,16 @@ class TestNeighborhoodScores:
             scores = neighborhood_scores(x, k)
             np.testing.assert_allclose(scores.raw_mean, means, atol=1e-12)
             np.testing.assert_allclose(scores.normalized, normalized, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [PARTITION_ROWS - 1, PARTITION_ROWS + 1, 2 * PARTITION_ROWS + 3])
+    def test_row_blocks_match_whole_row_sort_bitwise(self, unit_matrix, n):
+        # rows are partitioned a block at a time: across block edges the
+        # means must equal those of sorting every whole Gram row
+        x = unit_matrix(6, n, seed=n)
+        k = 9
+        ranked = -np.sort(-gram_matrix(x), axis=1)
+        expected = ranked[:, 1:k].mean(axis=1)
+        assert neighborhood_scores(x, k).raw_mean.tobytes() == expected.tobytes()
 
     def test_k_bounds(self, unit_matrix):
         x = unit_matrix(4, 8, seed=0)

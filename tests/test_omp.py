@@ -10,18 +10,64 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 
 from sscomp import DataMatrix, normalize_columns
-from sscomp.adaptive import KArray
+from sscomp.adaptive import KArray, gram_matrix
 from sscomp.omp import (
+    BLOCK,
     RANK_TOL,
     STOPS,
     CoefMatrix,
     OmpConfig,
-    _greedy,
+    _pursue,
     _solve_upper,
     omp_solve,
     ssc_omp,
     ssc_omp_adaptive,
 )
+
+
+def pursue_one(atoms, target, budget, eps, exclude=None, gram=None):
+    """One target through the block kernel, as a block of one. Rows come
+    from ``gram`` when given, and the target is then the excluded atom, so
+    its first correlations are that atom's Gram row; otherwise rows and
+    correlations are computed from ``atoms``."""
+    def rows(j, out):
+        if gram is None:
+            np.matmul(atoms[:, j].T, atoms, out=out)
+        else:
+            gram.take(j, axis=0, out=out)
+
+    corr = atoms.T @ target if gram is None else np.array(gram[exclude], dtype=np.float64)
+    cap = min(budget, atoms.shape[1] - (exclude is not None))
+    [result] = _pursue(rows, corr[None], np.array([target @ target]), np.array([cap]), eps,
+                       None if exclude is None else np.array([exclude]))
+    return result
+
+
+def stop_mix(n: int, seed: int):
+    """n >= 12 unit points in R^40 whose pursuits, under the budgets
+    returned with them (mixed, 1..n-2), end in every reason of STOPS.
+
+    Coordinates 0-2 hold a point 0.7 e0 + 0.5 e1 + 0.5 e2 (point 0) over a
+    near-duplicate pair e0, e0 + 1e-10 e2 (points 1 and 2) and e1 (point
+    3): with a budget of at least 3 it takes one of the pair and e1, and
+    then the other one of the pair is its best atom, inside the active
+    span (rank). Point 4 is e3, which nothing else touches (zero
+    correlation). Points 5-9 lie in the plane of e4 and e5, so two of
+    them fit a third exactly (eps). The rest are generic in coordinates
+    6-39 and mostly run out of budget. Returns (data, budgets, the
+    indices of points with a near-duplicate of their own).
+    """
+    rng = np.random.default_rng(seed)
+    values = np.zeros((40, n))
+    values[:3, 0] = [0.7, 0.5, 0.5]
+    values[[0, 2], 2] = [1.0, 1e-10]
+    values[0, 1] = values[1, 3] = values[3, 4] = 1.0
+    values[4:6, 5:10] = rng.standard_normal((2, 5))
+    values[6:, 10:] = rng.standard_normal((34, n - 10))
+    budgets = rng.integers(1, n - 1, size=n)
+    budgets[0] = max(budgets[0], 3)
+    budgets[5:10] = np.maximum(budgets[5:10], 2)
+    return normalize_columns(DataMatrix(values)), budgets, [1, 2]
 
 
 def orthonormal_dictionary(dim: int, n_atoms: int, seed: int = 0) -> DataMatrix:
@@ -124,7 +170,7 @@ class TestOmpSolve:
             d = unit_matrix(10, 16, seed=100 + case)
             target = rng.standard_normal(10)
             budget = int(rng.integers(1, 7))
-            support, coefs, _ = _greedy(d.values, target, budget, 1e-6)
+            support, coefs, _ = pursue_one(d.values, target, budget, 1e-6)
             ref_support, ref_coefs = omp_reference(d.values, target, budget, 1e-6)
             assert support.tolist() == ref_support
             np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
@@ -185,7 +231,7 @@ class TestOmpSolve:
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs, stop = _greedy(atoms, target, 3, 0.0)
+        support, coefs, stop = pursue_one(atoms, target, 3, 0.0)
         assert stop == "rank"
         assert support.size == 2 and not {0, 2} <= set(support.tolist())
         assert np.abs(coefs).max() <= 1.0
@@ -202,7 +248,7 @@ class TestOmpSolve:
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = 0.7 * e1 + 0.5 * e2 + 0.5 * e3
         target /= np.linalg.norm(target)
-        support, coefs, stop = _greedy(atoms, target, 3, 0.0)
+        support, coefs, stop = pursue_one(atoms, target, 3, 0.0)
         assert stop == "rank"
         assert support.size == 2 and not {0, 2} <= set(support.tolist())
         assert np.abs(coefs).max() <= 1.0
@@ -216,7 +262,7 @@ class TestOmpSolve:
         tilted = e1 + e2 + 0.3 * e3
         atoms = np.stack([tilted / np.linalg.norm(tilted), e1, e2], axis=1)
         target = (e1 + e2) / np.sqrt(2.0)
-        support, coefs, _ = _greedy(atoms, target, 3, 0.0)
+        support, coefs, _ = pursue_one(atoms, target, 3, 0.0)
         assert sorted(support.tolist()) == [1, 2]
         np.testing.assert_allclose(coefs, [1 / np.sqrt(2.0)] * 2, atol=1e-12)
 
@@ -225,15 +271,15 @@ class TestOmpSolve:
         exact = d.values[:, [1, 4]] @ [0.6, -0.8]
         # eps is checked first: an exact fit on the last budgeted atom
         # counts as reaching eps
-        assert _greedy(d.values, exact, 2, 1e-6)[2] == "eps"
-        assert _greedy(d.values, exact, 1, 1e-6)[2] == "budget"
-        assert _greedy(d.values, np.zeros(8), 3, 0.0)[2] == "zero_correlation"
+        assert pursue_one(d.values, exact, 2, 1e-6)[2] == "eps"
+        assert pursue_one(d.values, exact, 1, 1e-6)[2] == "budget"
+        assert pursue_one(d.values, np.zeros(8), 3, 0.0)[2] == "zero_correlation"
         e1, e2, e3 = np.eye(4)[:, 0], np.eye(4)[:, 1], np.eye(4)[:, 2]
         near_dup = e1 + 1e-13 * e3
         near_dup /= np.linalg.norm(near_dup)
         atoms = np.stack([near_dup, e2, e1], axis=1)
         target = (0.7 * e1 + 0.5 * e2 + 0.5 * e3) / np.linalg.norm([0.7, 0.5, 0.5])
-        assert _greedy(atoms, target, 3, 0.0)[2] == "rank"
+        assert pursue_one(atoms, target, 3, 0.0)[2] == "rank"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -251,7 +297,7 @@ class TestOmpSolve:
         target = atoms[:, i]
         ref_support, ref_coefs = omp_reference(atoms, target, budget, eps, exclude=i)
         for gram in (None, atoms.T @ atoms):
-            support, coefs, _ = _greedy(atoms, target, budget, eps, exclude=i, gram=gram)
+            support, coefs, _ = pursue_one(atoms, target, budget, eps, exclude=i, gram=gram)
             assert support.tolist() == ref_support
             np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
 
@@ -278,8 +324,8 @@ class TestOmpSolve:
             budget = int(rng.integers(1, 8))
             ref_support, ref_coefs = omp_reference(atoms, atoms[:, i], budget, 0.0, exclude=i)
             for gram in (None, atoms.T @ atoms):
-                support, coefs, stop = _greedy(atoms, atoms[:, i], budget, 0.0,
-                                               exclude=i, gram=gram)
+                support, coefs, stop = pursue_one(atoms, atoms[:, i], budget, 0.0,
+                                                  exclude=i, gram=gram)
                 assert support.tolist() == ref_support
                 np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
                 rank_stops += stop == "rank"
@@ -289,12 +335,14 @@ class TestOmpSolve:
 class TestTriangularSolve:
     @pytest.mark.parametrize("cap", [1, 8, 16])
     def test_lapack_call_matches_solve_triangular_bitwise(self, cap):
-        # _greedy solves on the leading t x t block of a row-major cap x cap
-        # factor: a strided view for t < cap, contiguous for t == cap. A
-        # scipy release that changes either call breaks this equality.
+        # the block kernel solves on the leading t x t block of target p's
+        # row-major cap x cap factor in its (b, cap, cap) array: a strided
+        # view for t < cap, contiguous for t == cap. A scipy release that
+        # changes either call breaks this equality.
         rng = np.random.default_rng(cap)
         for case in range(200):
-            r_upper = np.zeros((cap, cap))
+            factors = np.zeros((3, cap, cap))
+            r_upper = factors[int(rng.integers(3))]
             t = int(rng.integers(1, cap + 1))
             r_upper[:t, :t] = np.triu(rng.standard_normal((t, t)))
             # diagonals are the distances w >= sqrt(RANK_TOL) = 1e-6
@@ -366,8 +414,6 @@ class TestSscOmp:
             ssc_omp(x, 2.5, 1e-6)
 
     def test_gram_reuse_changes_nothing(self, unit_matrix):
-        from sscomp.adaptive import gram_matrix
-
         x = unit_matrix(7, 15, seed=13)
         plain = ssc_omp(x, 4, 1e-6)
         reused = ssc_omp_adaptive(x, KArray.uniform(4, x.n), 1e-6, gram=gram_matrix(x))
@@ -484,6 +530,49 @@ class TestAdaptiveDriver:
         assert np.abs(c).max() <= 1.0 + 1e-6
         residual = x.values[:, 0] - x.values @ c[:, 0]
         assert np.linalg.norm(residual) <= 0.51
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_match_reference_and_solo_pursuits(self, caplog, n):
+        # points are pursued in lockstep blocks of BLOCK: on either side of
+        # a block edge, and with every stop reason inside a block, each
+        # column must equal the reference and its own block-of-one pursuit,
+        # and the logged stop counts the per-column tally
+        x, sizes, has_duplicate = stop_mix(n, seed=n)
+        gram = gram_matrix(x)
+        counts = self.stop_log(caplog, x, KArray(sizes, 8), 1e-6)
+        c = ssc_omp_adaptive(x, KArray(sizes, 8), 1e-6)
+        tally = dict.fromkeys(STOPS, 0)
+        for i in range(n):
+            solo_support, solo_coefs, stop = pursue_one(
+                x.values, x.values[:, i], int(sizes[i]), 1e-6, exclude=i, gram=gram
+            )
+            tally[stop] += 1
+            support, coefs = c.column(i)
+            order = np.argsort(solo_support)
+            assert support.tolist() == solo_support[order].tolist()
+            np.testing.assert_allclose(coefs, solo_coefs[order], rtol=0, atol=1e-12)
+            if i in has_duplicate:
+                continue
+            ref_support, ref_coefs = omp_reference(
+                x.values, x.values[:, i], int(sizes[i]), 1e-6, exclude=i
+            )
+            assert solo_support.tolist() == ref_support
+            np.testing.assert_allclose(solo_coefs, ref_coefs, atol=1e-9)
+        assert counts == tally
+        assert all(tally.values()), tally
+
+    def test_permuting_points_permutes_supports(self):
+        x, sizes, _ = stop_mix(2 * BLOCK + 3, seed=5)
+        perm = np.random.default_rng(6).permutation(x.n)
+        c = ssc_omp_adaptive(x, KArray(sizes, 8), 1e-6)
+        moved = ssc_omp_adaptive(DataMatrix(x.values[:, perm], unit_normalized=True),
+                                 KArray(sizes[perm], 8), 1e-6)
+        for new, old in enumerate(perm):
+            support, coefs = c.column(old)
+            moved_support, moved_coefs = moved.column(new)
+            order = np.argsort(perm[moved_support])
+            assert perm[moved_support][order].tolist() == support.tolist()
+            np.testing.assert_allclose(moved_coefs[order], coefs, rtol=0, atol=1e-12)
 
     def test_exact_recovery_counted_as_eps_stops(self, caplog):
         # every point lies in one 3-dim span, so 3 atoms fit it exactly and
