@@ -121,6 +121,17 @@ def gram_matrix(x: DataMatrix) -> np.ndarray:
     return g
 
 
+def checked_gram(x: DataMatrix, gram: np.ndarray | None) -> np.ndarray:
+    """The Gram of ``x``: :func:`gram_matrix` when ``gram`` is None, else
+    the passed one as float64, which must be N x N."""
+    if gram is None:
+        return gram_matrix(x)
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.shape != (x.n, x.n):
+        raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
+    return gram
+
+
 def neighborhood_scores(
     x: DataMatrix, k: int, gram: np.ndarray | None = None
 ) -> NeighborhoodScore:
@@ -132,6 +143,9 @@ def neighborhood_scores(
     [0, k]. When every point has the same raw score the rescaling is
     undefined and all scores are pinned at the neutral midpoint k/2, which
     downstream yields uniform budgets.
+
+    A passed ``gram`` must be N x N; a nan or +inf among a row's k largest
+    entries is rejected, the only entries the scores read.
 
     Memory: besides the Gram (8 N^2 bytes, shared when passed in), the
     scoring holds the N x k top similarities and one block of
@@ -146,7 +160,7 @@ def neighborhood_scores(
         )
     if k > x.n - 1:
         raise ValueError(f"k must be at most N-1 = {x.n - 1}, got {k}")
-    g = gram if gram is not None else gram_matrix(x)
+    g = checked_gram(x, gram)
     # only the k largest similarities per row matter; partitioning first
     # keeps this O(N^2) instead of a full N^2 log N sort, and sorting the
     # k-value slice yields bit-identical means to sorting whole rows. Rows
@@ -155,6 +169,10 @@ def neighborhood_scores(
     for lo in range(0, x.n, PARTITION_ROWS):
         block = g[lo:lo + PARTITION_ROWS]
         top[lo:lo + PARTITION_ROWS] = np.partition(block, x.n - k, axis=1)[:, x.n - k:]
+    # partitioning puts nan and +inf in the top block, and the budgets read
+    # nothing else, so checking it is enough and costs O(N k), not O(N^2)
+    if not np.isfinite(top).all():
+        raise ValueError("gram contains non-finite values")
     ranked = -np.sort(-top, axis=1)
     raw = ranked[:, 1:k].mean(axis=1)
     max_d = float(raw.max())
@@ -175,11 +193,13 @@ def compute_k_array(
 
     budgets = k - round(mean(normalized)) + round(normalized)
 
-    The constant offset keeps the budget mean within 1 of k while the
-    per-point term spreads budgets with density: dense-core points land
-    above k, boundary points below. Rounding is half-away-from-zero and
-    results are clamped to [1, N-2] so every budget is usable by the
-    solver.
+    The constant offset keeps the mean of these unclamped budgets within 1
+    of k while the per-point term spreads budgets with density: dense-core
+    points land above k, boundary points below. Rounding is
+    half-away-from-zero and results are clamped to [1, N-2] so every budget
+    is usable by the solver. Clamping can move the mean further: 30 random
+    unit points in R^5 at k = 28 = N-2 get a mean of 25.57, with 18
+    budgets clamped at 28.
     """
     scores = neighborhood_scores(x, k, gram=gram)
     per_point = round_half_away_from_zero(scores.normalized)

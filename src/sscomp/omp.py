@@ -11,10 +11,12 @@ zero diagonal.
 The loop runs on the Gram matrix X^T X alone, as Batch-OMP does
 (Rubinstein, Zibulevsky & Elad, 2008): it never forms the active set's
 orthonormal basis q_t in X-space, only its image X^T q_t, one length-N row
-per selected atom. The correlations X^T r, the squared residual norm and
-the triangular factor of the active set all follow from those rows and
-Gram rows at O(N t) per step (t atoms selected so far). Both methods
-therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
+per selected atom. The correlations X^T r and the squared residual norm
+follow from those rows and Gram rows at O(N t) per step (t atoms selected
+so far), and the rows hold the final fit as well: the triangular factor R
+of the active set and Q^T y are their entries at the selected atoms and at
+the target, which is itself an atom, excluded from its own selection. Both
+methods therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
 at N=2000, 3.2 GB at N=20000. The rank test bounds the squared distance
 of a candidate atom from the active span, because in Gram space only the
 square is formed and it carries ~1e-16 absolute rounding. An atom inside
@@ -27,9 +29,11 @@ point of a block takes its next step in the same few numpy calls on
 rather than flops sets the cost of a one-point step. A point leaves its
 block when it stops, and only then are the block's arrays compacted.
 :func:`ssc_omp_adaptive` forms the blocks over the points sorted by
-budget, so a block's points tend to stop together; :func:`omp_solve`
-runs a block of one. The batched products round differently from
-one-point products, so coefficients can differ from a point-by-point
+budget, so a block's points tend to stop together, and the points that
+stop at the same step are solved with one batched call. :func:`omp_solve`
+runs a block of one: its target, scaled to unit norm, is appended to the
+dictionary as the excluded atom. The batched products round differently
+from one-point products, so coefficients can differ from a point-by-point
 pursuit in the last bits (see :func:`_pursue`).
 
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
@@ -47,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dtrtrs
 
-from .adaptive import KArray, gram_matrix
+from .adaptive import KArray, checked_gram
 from .data import DataMatrix
 
 __all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
@@ -202,24 +205,27 @@ class CoefMatrix:
 
 
 def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: float,
-            exclude: np.ndarray | None = None):
-    """OMP for a block of b targets in lockstep, run on Gram rows only.
+            exclude: np.ndarray):
+    """OMP for a block of b self-expressions in lockstep, run on Gram rows only.
 
-    ``corr`` is the (b, N) array of first correlations X^T y_p, which the
-    loop updates in place; ``res2`` holds the squared target norms |y_p|^2
-    and ``caps`` the per-target atom budgets, at most the N atoms (N - 1
-    with ``exclude``). ``rows(j, out)`` writes the Gram rows G[j] of an
-    index vector j into the (len(j), N) array ``out``. ``exclude``, when
-    given, masks one atom per target out of selection (the point itself in
-    self-expression).
+    Target p is the atom ``exclude[p]``, which is masked out of its own
+    selection. ``corr`` is the (b, N) array of first correlations, the
+    targets' Gram rows, which the loop updates in place; ``res2`` holds the
+    squared target norms (their Gram diagonal) and ``caps`` the per-target
+    atom budgets, at most the N - 1 other atoms. ``rows(j, out)`` writes the
+    Gram rows G[j] of an index vector j into the (len(j), N) array ``out``.
 
     The active set's orthonormal basis q_0..q_{t-1} is never formed in
-    X-space; each target holds its image ``xq[s] = X^T q_s`` instead, which
-    is all the loop reads. For a candidate atom j, ``xq[:t, j]`` is its
-    projection onto the basis and ``G[j, j] - |xq[:t, j]|^2`` its squared
-    distance w^2 from the active span, so a step costs O(N t) per target:
-    the new row ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the
-    correlations, and the squared residual drops by ``(corr[j] / w)^2``.
+    X-space; each target holds its image ``xq[s] = X^T q_s`` instead, and
+    that is the loop's only state besides the per-target vectors. For a
+    candidate atom j, ``xq[:t, j]`` is its projection onto the basis and
+    ``G[j, j] - |xq[:t, j]|^2`` its squared distance w^2 from the active
+    span, so a step costs O(N t) per target: the new row
+    ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the correlations,
+    and the squared residual drops by ``(corr[j] / w)^2``. The same rows
+    hold the final fit: the triangular factor is R[s, u] = q_s . x_{j_u} =
+    ``xq[s, j_u]``, and Q^T y is ``xq[:, i]`` at the excluded atom i, the
+    target itself.
 
     Every live target takes step t at once, so a step is a fixed handful of
     numpy calls for the whole block, not per target: one argmax over the
@@ -233,18 +239,21 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
     fill their leading rows. Callers that want few compactions pass targets
     with similar budgets together.
 
-    Rounding: the batched ``matmul`` runs one BLAS product per target, the
-    squared projection norms are summed by ``einsum``, and the new rows are
-    scaled by 1/w rather than divided by w (a multiply is the cheaper pass
-    over (b, N)). Each of these rounds differently from a one-target,
-    one-division loop, so coefficients differ from it in the last bits:
-    by at most ~2.5e-15 on benchmark-shaped data, whose supports were
-    equal.
-
-    Each target ends with one triangular solve R c = Q^T y, a direct LAPACK
-    ``dtrtrs`` call (see :func:`_solve_upper`), and coefficients at or below
+    The targets that stop together share t, so they are solved together:
+    one gather of ``xq[:t]`` at each one's excluded and selected atoms, and
+    one batched ``np.linalg.solve`` of R c = Q^T y on the upper triangle
+    (the entries below it are rounding noise of exact zeros, and with them
+    zeroed the LU factorization swaps no rows). Coefficients at or below
     ``COEF_DUST * |y|`` are dropped as rounding dust of an exact fit. The
     callers check their inputs for non-finite values once.
+
+    Rounding: the batched ``matmul`` runs one BLAS product per target, the
+    squared projection norms are summed by ``einsum``, the new rows are
+    scaled by 1/w rather than divided by w (a multiply is the cheaper pass
+    over (b, N)), and R's diagonal is read as ``xq[t, j]``, w^2 scaled by
+    1/w, not w itself. Each of these rounds differently from a one-target
+    loop that stores its factor, so coefficients differ from it in the last
+    bits: a few 1e-15 on benchmark-shaped data, whose supports were equal.
 
     ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
     entries and carries ~1e-16 absolute rounding, so an atom with w below
@@ -268,14 +277,9 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
     cap = int(caps.max())
     # step-major, so the live targets' rows xq[t, :live] are one contiguous block
     xq = np.empty((cap, b, n))
-    r_upper = np.zeros((b, cap, cap))
-    qty = np.empty((b, cap))
     # column 0: the excluded atom; columns 1..t: the support
     taken = np.empty((b, cap + 1), dtype=np.int64)
-    first = 1
-    if exclude is not None:
-        taken[:, 0] = exclude
-        first = 0
+    taken[:, 0] = exclude
     mag = np.empty((b, n))
     update = np.empty((b, n))
     res2 = np.array(res2, dtype=np.float64)
@@ -293,15 +297,16 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
         index in STOPS), then move the others, with their first ``filled``
         xq rows, to the front; returns the others' rows before the move."""
         nonlocal live
-        for p in np.flatnonzero(reason):
-            coefs = _solve_upper(r_upper[p, :t, :t], qty[p, :t])
-            keep = np.abs(coefs) > dust[p]
-            out[slot[p]] = (taken[p, 1:t + 1][keep], coefs[keep], STOPS[reason[p] - 1])
+        done = np.flatnonzero(reason)
+        # (done, t, 1 + t): Q^T y, then the columns of R
+        fit = xq[:t, done[:, None], taken[done, :t + 1]].transpose(1, 0, 2)
+        coefs = np.linalg.solve(np.triu(fit[:, :, 1:]), fit[:, :, :1])[:, :, 0]
+        keep = np.abs(coefs) > dust[done, None]
+        for p, c, k in zip(done, coefs, keep):
+            out[slot[p]] = (taken[p, 1:t + 1][k], c[k], STOPS[reason[p] - 1])
         stay = np.flatnonzero(reason == 0)
         live = stay.size
         xq[:filled, :live] = xq[:filled, stay]
-        r_upper[:live, :t, :t] = r_upper[stay, :t, :t]
-        qty[:live, :t] = qty[stay, :t]
         taken[:live, :t + 1] = taken[stay, :t + 1]
         for a in (corr, res2, dust, caps, slot):
             a[:live] = a[stay]
@@ -315,7 +320,7 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
             if not live:
                 break
         np.abs(corr[:live], out=mag[:live])
-        mag.put(taken[:live, first:t + 1] + offset[:live, None], -np.inf)
+        mag.put(taken[:live, :t + 1] + offset[:live, None], -np.inf)
         j = mag[:live].argmax(axis=1)
         at = offset[:live] + j
         new = xq[t, :live]
@@ -335,15 +340,12 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
             new = xq[t, :live]
         taken[:live, t + 1] = j
         w = np.sqrt(w2)
-        r_upper[:live, :t, t] = proj
-        r_upper[:live, t, t] = w
         if t:
             np.matmul(proj[:, None, :], xq[:t, :live].transpose(1, 0, 2),
                       out=update[:live, None, :])
             new -= update[:live]
         new *= (1.0 / w)[:, None]
         step = corr.take(at) / w
-        qty[:live, t] = step
         np.multiply(new, step[:, None], out=update[:live])
         corr[:live] -= update[:live]
         res2[:live] -= step * step
@@ -351,23 +353,16 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
     return out
 
 
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with r x = b for an upper-triangular r held row-major: LAPACK gets
-    r.T, a column-major lower-triangular matrix, and solves with its
-    transpose, the call ``solve_triangular(r, b)`` makes for this input."""
-    if not b.size:
-        return b.copy()
-    x, info = dtrtrs(r.T, b, lower=1, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-    return x
-
-
 def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.ndarray:
     """Sparse-code one target against a unit-norm dictionary.
 
     Returns a dense length-N coefficient vector whose nonzeros sit on the
-    selected atoms (at most ``cfg.max_atoms`` of them).
+    selected atoms (at most ``cfg.max_atoms`` of them). The target is
+    scaled to unit norm and appended to the dictionary as atom N, which
+    :func:`_pursue` excludes and codes over the others, with
+    ``cfg.residual_threshold / |target|``; the coefficients are scaled back.
+    So the answer does not depend on the target's scale, a zero target gets
+    zeros, and a target whose norm overflows float64 is rejected.
     """
     if not dictionary.unit_normalized:
         raise ValueError("omp_solve requires a unit-normalized dictionary")
@@ -378,18 +373,29 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
         )
     if not np.isfinite(target).all():
         raise ValueError("target contains non-finite values")
-    atoms = dictionary.values
+    coefs = np.zeros(dictionary.n)
+    peak = np.abs(target).max(initial=0.0)
+    if not peak:
+        return coefs
+    # scaled by the largest entry first, so the sum of squares neither
+    # overflows nor underflows
+    with np.errstate(over="ignore"):
+        norm = peak * np.linalg.norm(target / peak)
+    if not np.isfinite(norm):
+        raise ValueError(f"target norm is not finite in float64 (largest entry {peak:.3g})")
+    atoms = np.column_stack([dictionary.values, target / norm])
+    n = dictionary.n
 
     def rows(j, out):
         np.matmul(atoms[:, j].T, atoms, out=out)
 
+    corr = (atoms.T @ atoms[:, n])[None]
     [(support, values, _)] = _pursue(
-        rows, (atoms.T @ target)[None], np.array([target @ target]),
-        np.array([min(cfg.max_atoms, dictionary.n)]), cfg.residual_threshold,
+        rows, corr, corr[:, n], np.array([min(cfg.max_atoms, n)]),
+        cfg.residual_threshold / norm, exclude=np.array([n]),
     )
-    out = np.zeros(dictionary.n)
-    out[support] = values
-    return out
+    coefs[support] = values * norm
+    return coefs
 
 
 def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6) -> CoefMatrix:
@@ -431,14 +437,10 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
         raise ValueError(
             f"budget vector covers {k_array.n} points, data has {x.n}"
         )
-    if gram is None:
-        gram = gram_matrix(x)
-    else:
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.shape != (x.n, x.n):
-            raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
-        if not np.isfinite(gram).all():
-            raise ValueError("gram contains non-finite values")
+    passed = gram is not None
+    gram = checked_gram(x, gram)
+    if passed and not np.isfinite(gram).all():
+        raise ValueError("gram contains non-finite values")
 
     def rows(j, out):
         # argmax indices are in range; "clip" skips the copy of ``out``

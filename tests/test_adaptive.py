@@ -3,7 +3,7 @@ import pytest
 from conftest import random_orthogonal
 from oracles import k_array_reference
 
-from sscomp import DataMatrix, normalize_columns
+from sscomp import DataMatrix, SyntheticSpec, generate_synthetic, normalize_columns
 from sscomp.adaptive import (
     PARTITION_ROWS,
     KArray,
@@ -223,6 +223,19 @@ class TestComputeKArray:
         assert np.array_equal(
             compute_k_array(x, 4).sizes, compute_k_array(x, 4, gram=g).sizes
         )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gram_rejected(self, bad):
+        x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
+        g = np.array(gram_matrix(x))
+        g[3, 4] = bad
+        with pytest.raises(ValueError, match="gram contains non-finite values"):
+            compute_k_array(x, 3, gram=g)
+
+    def test_gram_shape_checked(self):
+        x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
+        with pytest.raises(ValueError, match=f"gram must be {x.n} x {x.n}"):
+            compute_k_array(x, 3, gram=gram_matrix(x)[:, 1:])
 
     def test_spread_on_clustered_data(self, oracle_dataset):
         # clustered data must actually spread the budgets (dense cores above

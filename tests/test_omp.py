@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import omp_reference
 from scipy import sparse
-from scipy.linalg import solve_triangular
 
 from sscomp import DataMatrix, normalize_columns
 from sscomp.adaptive import KArray, gram_matrix
 from sscomp.omp import (
     BLOCK,
-    RANK_TOL,
     STOPS,
     CoefMatrix,
     OmpConfig,
     _pursue,
-    _solve_upper,
     omp_solve,
     ssc_omp,
     ssc_omp_adaptive,
@@ -26,10 +23,13 @@ from sscomp.omp import (
 
 
 def pursue_one(atoms, target, budget, eps, exclude=None, gram=None):
-    """One target through the block kernel, as a block of one. Rows come
-    from ``gram`` when given, and the target is then the excluded atom, so
-    its first correlations are that atom's Gram row; otherwise rows and
-    correlations are computed from ``atoms``."""
+    """One target through the block kernel, as a block of one. The target
+    is the atom ``exclude``; without one it is appended to ``atoms`` and
+    excluded there. Rows come from ``gram`` when given, otherwise from
+    ``atoms``."""
+    if exclude is None:
+        atoms, exclude = np.column_stack([atoms, target]), atoms.shape[1]
+
     def rows(j, out):
         if gram is None:
             np.matmul(atoms[:, j].T, atoms, out=out)
@@ -37,9 +37,9 @@ def pursue_one(atoms, target, budget, eps, exclude=None, gram=None):
             gram.take(j, axis=0, out=out)
 
     corr = atoms.T @ target if gram is None else np.array(gram[exclude], dtype=np.float64)
-    cap = min(budget, atoms.shape[1] - (exclude is not None))
+    cap = min(budget, atoms.shape[1] - 1)
     [result] = _pursue(rows, corr[None], np.array([target @ target]), np.array([cap]), eps,
-                       None if exclude is None else np.array([exclude]))
+                       np.array([exclude]))
     return result
 
 
@@ -206,6 +206,23 @@ class TestOmpSolve:
         coefs = omp_solve(d, np.zeros(5), OmpConfig(3))
         assert not coefs.any()
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+    def test_scaled_target_scales_coefficients(self, unit_matrix, scale):
+        # the residual floor and the zero-correlation test are absolute, so
+        # the target is coded at unit norm and the answer scaled back
+        d = unit_matrix(10, 16, seed=21)
+        target = np.random.default_rng(22).standard_normal(10)
+        for k, eps in ((3, 0.0), (6, 1e-6), (10, 0.5)):
+            expected = scale * omp_solve(d, target, OmpConfig(k, eps))
+            np.testing.assert_allclose(
+                omp_solve(d, scale * target, OmpConfig(k, scale * eps)), expected,
+                rtol=1e-12, atol=0)
+
+    def test_target_norm_overflow_rejected(self, unit_matrix):
+        d = unit_matrix(3, 4, seed=23)
+        with pytest.raises(ValueError, match="target norm is not finite in float64"):
+            omp_solve(d, np.full(3, 1.5e308), OmpConfig(2))
+
     def test_orthonormal_exact_recovery(self):
         # combinations of m atoms of an orthonormal dictionary come back
         # exactly, residual below 1e-10
@@ -330,36 +347,6 @@ class TestOmpSolve:
                 np.testing.assert_allclose(coefs, ref_coefs, atol=1e-9)
                 rank_stops += stop == "rank"
         assert rank_stops > 0
-
-
-class TestTriangularSolve:
-    @pytest.mark.parametrize("cap", [1, 8, 16])
-    def test_lapack_call_matches_solve_triangular_bitwise(self, cap):
-        # the block kernel solves on the leading t x t block of target p's
-        # row-major cap x cap factor in its (b, cap, cap) array: a strided
-        # view for t < cap, contiguous for t == cap. A scipy release that
-        # changes either call breaks this equality.
-        rng = np.random.default_rng(cap)
-        for case in range(200):
-            factors = np.zeros((3, cap, cap))
-            r_upper = factors[int(rng.integers(3))]
-            t = int(rng.integers(1, cap + 1))
-            r_upper[:t, :t] = np.triu(rng.standard_normal((t, t)))
-            # diagonals are the distances w >= sqrt(RANK_TOL) = 1e-6
-            w = np.sqrt(RANK_TOL) * 10.0 ** rng.uniform(0, 6, size=t)
-            w[rng.integers(t)] = np.sqrt(RANK_TOL)
-            r_upper[np.arange(t), np.arange(t)] = w
-            qty = rng.standard_normal(cap)
-            ours = _solve_upper(r_upper[:t, :t], qty[:t])
-            theirs = solve_triangular(r_upper[:t, :t], qty[:t])
-            assert ours.tobytes() == theirs.tobytes()
-
-    def test_empty_system(self):
-        assert _solve_upper(np.zeros((4, 4))[:0, :0], np.ones(4)[:0]).shape == (0,)
-
-    def test_singular_factor_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve_upper(np.array([[1.0, 2.0], [0.0, 0.0]]), np.ones(2))
 
 
 class TestSscOmp:
