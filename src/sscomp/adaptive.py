@@ -23,6 +23,8 @@ from .util import round_half_away_from_zero
 # whole Gram; 64 was the fastest of 64-512 at N=10000, and no slower at
 # N=1000 and 2000
 PARTITION_ROWS = 64
+# largest |norm - 1| a column may show and still count as unit
+UNIT_NORM_TOL = 1e-9
 
 __all__ = [
     "NeighborhoodScore",
@@ -109,26 +111,41 @@ class KArray:
         return cls(np.full(n, k), k)
 
 
+def check_unit_norms(squared_norms: np.ndarray, what: str) -> None:
+    """The one owner of the unit-norm rule: every column norm, read as the
+    square root of ``squared_norms`` (a Gram diagonal, or a dictionary's
+    squared column norms), must lie within ``UNIT_NORM_TOL`` of 1. The
+    first column that does not, nan included, is named in the error with
+    its signed deviation; ``what`` names the checked matrix. O(N)."""
+    dev = np.sqrt(np.maximum(squared_norms, 0.0)) - 1.0
+    bad = np.flatnonzero(~(np.abs(dev) <= UNIT_NORM_TOL))
+    if bad.size:
+        raise ValueError(f"{what} must be unit-normalized: the norm of column {bad[0]} "
+                         f"deviates from 1 by {dev[bad[0]]:+.3e}")
+
+
 def gram_matrix(x: DataMatrix) -> np.ndarray:
     """X^T X of unit-norm columns: entry (i, j) is the cosine of the angle
     between points i and j. Computed once and shared read-only, both for
     budget selection and for the greedy solver, whose correlation updates
-    read its rows. An N x N float64 array: 8 N^2 bytes."""
-    if not x.unit_normalized:
-        raise ValueError("gram_matrix requires unit-normalized columns")
+    read its rows. An N x N float64 array: 8 N^2 bytes. The columns are
+    checked to be unit on the diagonal of the product, after it is formed."""
     g = x.values.T @ x.values
+    check_unit_norms(np.diagonal(g), "data")
     g.flags.writeable = False
     return g
 
 
 def checked_gram(x: DataMatrix, gram: np.ndarray | None) -> np.ndarray:
     """The Gram of ``x``: :func:`gram_matrix` when ``gram`` is None, else
-    the passed one as float64, which must be N x N."""
+    the passed one as float64, which must be N x N with a unit diagonal
+    (see :func:`check_unit_norms`)."""
     if gram is None:
         return gram_matrix(x)
     gram = np.asarray(gram, dtype=np.float64)
     if gram.shape != (x.n, x.n):
         raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
+    check_unit_norms(np.diagonal(gram), "gram")
     return gram
 
 
@@ -144,16 +161,16 @@ def neighborhood_scores(
     undefined and all scores are pinned at the neutral midpoint k/2, which
     downstream yields uniform budgets.
 
-    A passed ``gram`` must be N x N; a nan or +inf among a row's k largest
-    entries is rejected, the only entries the scores read.
+    A passed ``gram`` must be N x N with a unit diagonal, and without one
+    the data must have unit columns (see :func:`checked_gram`); a nan or
+    +inf among a row's k largest entries is rejected, the only entries the
+    scores read.
 
     Memory: besides the Gram (8 N^2 bytes, shared when passed in), the
     scoring holds the N x k top similarities and one block of
     ``PARTITION_ROWS`` partitioned rows, so its own working set is
     O(N (k + PARTITION_ROWS)) rather than a second N x N copy.
     """
-    if not x.unit_normalized:
-        raise ValueError("neighborhood_scores requires unit-normalized columns")
     if not isinstance(k, numbers.Integral) or k < 2:
         raise ValueError(
             f"k must be an integer of at least 2 (k-1 neighbors are averaged), got {k!r}"

@@ -33,20 +33,21 @@ __all__ = [
     "blend_gaussian_noise",
 ]
 
-UNIT_NORM_TOL = 1e-9
 MIN_COLUMN_NORM = 1e-12
 
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Column-major collection of N points in ambient dimension ``dim``.
+    """Column-major collection of N points in ambient dimension ``dim``:
+    a finite ``dim x N`` float64 array with N >= 3.
 
     The underlying array is copied and frozen at construction; every
     operation in this package returns a new matrix instead of mutating.
+    Column norms are not recorded: the stages that need unit columns check
+    them where they read them (see :func:`sscomp.adaptive.check_unit_norms`).
     """
 
     values: np.ndarray
-    unit_normalized: bool = False
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -61,13 +62,6 @@ class DataMatrix:
             )
         if not np.isfinite(values).all():
             raise ValueError("data contains non-finite values")
-        if self.unit_normalized:
-            norms = np.linalg.norm(values, axis=0)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > UNIT_NORM_TOL:
-                raise ValueError(
-                    f"unit_normalized set but a column norm deviates by {worst:.3e}"
-                )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -291,14 +285,15 @@ def load_labels(path) -> Labels:
 
 
 def normalize_columns(x: DataMatrix) -> DataMatrix:
-    """Rescale every column to unit Euclidean norm, preserving direction."""
+    """Rescale every column to unit Euclidean norm, preserving direction.
+    A column with norm below ``MIN_COLUMN_NORM`` is rejected."""
     norms = np.linalg.norm(x.values, axis=0)
     tiny = np.flatnonzero(norms < MIN_COLUMN_NORM)
     if tiny.size:
         raise ValueError(
             f"column {int(tiny[0])} has norm {norms[tiny[0]]:.3e}, too close to zero to normalize"
         )
-    return DataMatrix(x.values / norms, unit_normalized=True)
+    return DataMatrix(x.values / norms)
 
 
 def generate_synthetic(spec: SyntheticSpec):

@@ -37,7 +37,10 @@ from one-point products, so coefficients can differ from a point-by-point
 pursuit in the last bits (see :func:`_pursue`).
 
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
-target, :func:`ssc_omp_adaptive` a caller-passed Gram. Each self-expression
+target, :func:`ssc_omp_adaptive` a caller-passed Gram. Unit norms are
+checked where they are read: on the Gram diagonal (see
+:func:`sscomp.adaptive.checked_gram`), and in :func:`omp_solve`, which
+forms no Gram, on the dictionary's squared column norms. Each self-expression
 call logs, at DEBUG on the ``sscomp`` logger, how many points stopped for
 each reason in :data:`STOPS`.
 """
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .adaptive import KArray, checked_gram
+from .adaptive import KArray, check_unit_norms, checked_gram
 from .data import DataMatrix
 
 __all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
@@ -189,7 +192,9 @@ class CoefMatrix:
     @classmethod
     def load_csv(cls, path, n: int) -> "CoefMatrix":
         """Read a triplet CSV as :meth:`save_csv` writes it; the first line
-        must be the ``row,col,value`` header."""
+        must be the ``row,col,value`` header. A line that is not two integer
+        indices in [0, n) and a number raises an error naming the file and
+        the line."""
         rows, cols, values = [], [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -198,9 +203,15 @@ class CoefMatrix:
             for line, row in enumerate(reader, start=2):
                 if len(row) != 3:
                     raise ValueError(f"{path}: line {line}: expected row,col,value")
-                rows.append(int(row[0]))
-                cols.append(int(row[1]))
-                values.append(float(row[2]))
+                try:
+                    r, c, v = int(row[0]), int(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line}: {exc}") from None
+                if not (0 <= r < n and 0 <= c < n):
+                    raise ValueError(f"{path}: line {line}: index ({r}, {c}) outside [0, {n})")
+                rows.append(r)
+                cols.append(c)
+                values.append(v)
         return cls.from_triplets(rows, cols, values, n)
 
 
@@ -362,10 +373,12 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
     :func:`_pursue` excludes and codes over the others, with
     ``cfg.residual_threshold / |target|``; the coefficients are scaled back.
     So the answer does not depend on the target's scale, a zero target gets
-    zeros, and a target whose norm overflows float64 is rejected.
+    zeros, and a target whose norm overflows float64 is rejected. The
+    dictionary's columns must be unit (see
+    :func:`sscomp.adaptive.check_unit_norms`), checked on their squared
+    norms in O(dim N).
     """
-    if not dictionary.unit_normalized:
-        raise ValueError("omp_solve requires a unit-normalized dictionary")
+    check_unit_norms(np.einsum("ij,ij->j", dictionary.values, dictionary.values), "dictionary")
     target = np.asarray(target, dtype=np.float64).reshape(-1)
     if target.size != dictionary.dim:
         raise ValueError(
@@ -418,7 +431,7 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     may pass a precomputed one (from :func:`gram_matrix`, e.g. the one used
     for budget selection), otherwise it is computed here and held for the
     call, 8 N^2 bytes. A passed ``gram`` must be N x N and finite; checking
-    it is one O(N^2) pass, ~5 ms at N=2000. The points run through
+    its finiteness is one O(N^2) pass, ~5 ms at N=2000. The points run through
     :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
     of the budgets so that a block's points tend to stop together (unsorted
     blocks run to their largest budget and compact on nearly every step).
@@ -428,10 +441,10 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     i's support in selection order, which :class:`CoefMatrix` sorts. One
     DEBUG line on the ``sscomp`` logger gives the point count, nnz and how
     many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
-    nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`).
+    nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`). The
+    data's columns, or a passed ``gram``'s diagonal, must be unit (see
+    :func:`sscomp.adaptive.checked_gram`).
     """
-    if not x.unit_normalized:
-        raise ValueError("self-expression requires unit-normalized data")
     check_eps(eps)
     if k_array.n != x.n:
         raise ValueError(

@@ -94,7 +94,7 @@ def test_criterion_02_omp_exact_recovery():
     for case in range(500):
         dim = int(rng.integers(8, 65))
         q = random_orthogonal(dim, seed=1000 + case)
-        d = DataMatrix(q, unit_normalized=True)
+        d = DataMatrix(q)
         m = int(rng.integers(1, 9))
         chosen = rng.choice(dim, size=m, replace=False)
         weights = rng.uniform(0.1, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
@@ -165,7 +165,7 @@ def test_criterion_04_budget_selector_contract():
         assert abs(float(pre_clamp.mean()) - k) <= 1.0
 
         q = random_orthogonal(dim, seed=4000 + case)
-        rotated = DataMatrix(q @ x.values, unit_normalized=True)
+        rotated = DataMatrix(q @ x.values)
         rotated_budgets = compute_k_array(rotated, k)
         assert np.array_equal(budgets.sizes, rotated_budgets.sizes)
 

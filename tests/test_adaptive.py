@@ -18,7 +18,7 @@ from sscomp.util import round_half_away_from_zero
 def three_point_matrix():
     # two identical unit columns plus one orthogonal to both
     return DataMatrix(
-        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), unit_normalized=True
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     )
 
 
@@ -39,6 +39,21 @@ class TestGram:
     def test_requires_unit_columns(self):
         with pytest.raises(ValueError, match="unit-normalized"):
             gram_matrix(DataMatrix(2 * np.eye(3)))
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-12])
+    def test_plain_unit_columns_accepted(self, scale):
+        # a plain DataMatrix of unit columns is enough; a rounding-sized
+        # deviation from unit norm passes
+        values = np.eye(3)
+        values[2, 2] = scale
+        assert np.array_equal(gram_matrix(DataMatrix(values)), values.T @ values)
+
+    def test_off_unit_column_named(self):
+        values = np.eye(3)
+        values[2, 2] = 1 + 1e-6
+        with pytest.raises(ValueError, match=r"data must be unit-normalized: the norm of "
+                                             r"column 2 deviates from 1 by \+1\.000e-06"):
+            gram_matrix(DataMatrix(values))
 
 
 class TestNeighborhoodScores:
@@ -195,8 +210,8 @@ class TestComputeKArray:
         base = compute_k_array(x, k)
         for seed in range(3):
             q = random_orthogonal(8, seed=seed)
-            rotated = DataMatrix(q @ x.values, unit_normalized=False)
-            # rotation preserves norms; re-tag rather than renormalize
+            rotated = DataMatrix(q @ x.values)
+            # rotation preserves norms up to rounding, which renormalizing removes
             rotated = normalize_columns(rotated)
             ka = compute_k_array(rotated, k)
             assert np.array_equal(ka.sizes, base.sizes)
@@ -207,7 +222,7 @@ class TestComputeKArray:
         base = compute_k_array(x, k)
         rng = np.random.default_rng(0)
         perm = rng.permutation(15)
-        shuffled = DataMatrix(x.values[:, perm], unit_normalized=True)
+        shuffled = DataMatrix(x.values[:, perm])
         ka = compute_k_array(shuffled, k)
         assert np.array_equal(ka.sizes, base.sizes[perm])
 
@@ -230,6 +245,14 @@ class TestComputeKArray:
         g = np.array(gram_matrix(x))
         g[3, 4] = bad
         with pytest.raises(ValueError, match="gram contains non-finite values"):
+            compute_k_array(x, 3, gram=g)
+
+    def test_gram_diagonal_checked(self):
+        x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
+        g = np.array(gram_matrix(x))
+        g[2, 2] = 1.5
+        with pytest.raises(ValueError, match=r"gram must be unit-normalized: the norm of "
+                                             r"column 2 deviates from 1 by \+2\.247e-01"):
             compute_k_array(x, 3, gram=g)
 
     def test_gram_shape_checked(self):

@@ -49,11 +49,6 @@ class TestDataMatrix:
         with pytest.raises(ValueError, match="2-d"):
             DataMatrix(np.ones(6))
 
-    def test_unit_flag_checked(self):
-        with pytest.raises(ValueError, match="unit_normalized"):
-            DataMatrix(2.0 * np.eye(3), unit_normalized=True)
-        DataMatrix(np.eye(3), unit_normalized=True)
-
 
 class TestLabels:
     def test_basic(self):
@@ -183,7 +178,6 @@ class TestNormalize:
     def test_unit_norms(self):
         rng = np.random.default_rng(2)
         x = normalize_columns(DataMatrix(3.7 * rng.standard_normal((6, 9))))
-        assert x.unit_normalized
         np.testing.assert_allclose(np.linalg.norm(x.values, axis=0), 1.0, atol=1e-12)
 
     def test_direction_preserved(self):
@@ -288,12 +282,11 @@ class TestNoise:
         expected = dim * variance
         assert abs(mean_energy - expected) / expected < 0.05
 
-    def test_output_is_unit_normalized(self):
+    def test_output_has_unit_columns(self):
         rng = np.random.default_rng(9)
         x = DataMatrix(rng.standard_normal((5, 12)))
         for fn in (add_gaussian_noise, blend_gaussian_noise):
             out = fn(x, 0.4, rng_seed=3)
-            assert out.unit_normalized
             np.testing.assert_allclose(
                 np.linalg.norm(out.values, axis=0), 1.0, atol=1e-12
             )

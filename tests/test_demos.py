@@ -14,9 +14,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     # the working directory is a fresh one, because demos write their
-    # outputs (such as sweep_out/) into it
+    # outputs (such as sweep_out/) into it; a RuntimeWarning fails the demo,
+    # as it fails a test
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -254,6 +254,23 @@ class TestRunTrial:
         with pytest.raises(ExperimentError, match="requested 3 clusters"):
             run_trial(small_config(), data=(x, y))
 
+    def test_noise_that_cancels_a_column_is_named(self):
+        # column picked[0] is minus the noise the trial adds to it, drawn
+        # with the trial's own seed, so its noisy copy is exactly zero
+        cfg = small_config(dataset="cancel.csv", n_clusters=2, noise_sigma=0.5)
+        values = np.random.default_rng(4).standard_normal((6, 12))
+        y = Labels(np.repeat([0, 1], 6), 2)
+        _, noise_seed, _ = _trial_seeds(cfg.seed, 0)
+        rng = np.random.default_rng(noise_seed)
+        picked = rng.choice(12, size=6, replace=False)
+        noise = rng.normal(0.0, np.sqrt(cfg.noise_variance), size=(6, 6))
+        values[:, picked[0]] = -noise[:, 0]
+        with pytest.raises(ExperimentError, match=(
+            rf"trial failed \(dataset=cancel.csv, seed=7, trial=0\): column {picked[0]} "
+            r"has norm 0\.000e\+00, too close to zero to normalize"
+        )):
+            experiment.run_trial_detailed(cfg, 0, data=(DataMatrix(values), y))
+
     def test_adaptive_method_runs(self):
         report = run_trial(small_config(method="adaptive-omp"))
         assert report.accr == 100.0

@@ -72,7 +72,7 @@ def stop_mix(n: int, seed: int):
 
 def orthonormal_dictionary(dim: int, n_atoms: int, seed: int = 0) -> DataMatrix:
     q = random_orthogonal(dim, seed)[:, :n_atoms]
-    return DataMatrix(q, unit_normalized=True)
+    return DataMatrix(q)
 
 
 class TestOmpConfig:
@@ -122,6 +122,19 @@ class TestCoefMatrix:
         with pytest.raises(ValueError, match="row,col,value header") as info:
             CoefMatrix.load_csv(path, 3)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1.0,0,0.5", r"invalid literal for int\(\)"),
+        ("1,0,abc", "could not convert string to float"),
+        ("7,0,0.5", r"index \(7, 0\) outside \[0, 4\)"),
+        ("-1,0,0.5", r"index \(-1, 0\) outside \[0, 4\)"),
+    ], ids=["fractional_index", "non_numeric_value", "index_past_n", "negative_index"])
+    def test_triplet_csv_names_bad_line(self, tmp_path, line, message):
+        path = tmp_path / "coefs.csv"
+        path.write_text(f"row,col,value\n0,1,0.25\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 3: {message}") as info:
+            CoefMatrix.load_csv(path, 4)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_frozen_buffers(self):
         c = CoefMatrix.from_triplets([0], [1], [1.0], 3)
@@ -200,6 +213,22 @@ class TestOmpSolve:
     def test_requires_unit_dictionary(self):
         with pytest.raises(ValueError, match="unit-normalized"):
             omp_solve(DataMatrix(np.eye(3) * 2), np.ones(3), OmpConfig(1))
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-12])
+    def test_plain_unit_dictionary_accepted(self, scale):
+        # a plain DataMatrix of unit columns is enough; a rounding-sized
+        # deviation from unit norm passes
+        values = np.eye(3)
+        values[2, 2] = scale
+        coefs = omp_solve(DataMatrix(values), np.array([1.0, 2.0, 0.0]), OmpConfig(2))
+        np.testing.assert_allclose(coefs, [1.0, 2.0, 0.0], atol=1e-12)
+
+    def test_off_unit_column_named(self):
+        values = np.eye(3)
+        values[2, 2] = 1 + 1e-6
+        with pytest.raises(ValueError, match=r"dictionary must be unit-normalized: the norm "
+                                             r"of column 2 deviates from 1 by \+1\.000e-06"):
+            omp_solve(DataMatrix(values), np.ones(3), OmpConfig(1))
 
     def test_zero_target_selects_nothing(self, unit_matrix):
         d = unit_matrix(5, 6, seed=8)
@@ -351,7 +380,7 @@ class TestOmpSolve:
 
 class TestSscOmp:
     def test_orthogonal_points_give_zero_matrix(self):
-        x = DataMatrix(np.eye(4), unit_normalized=True)
+        x = DataMatrix(np.eye(4))
         c = ssc_omp(x, 1, 1e-6)
         assert c.nnz == 0
 
@@ -359,7 +388,7 @@ class TestSscOmp:
         values = np.array(
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         )
-        c = ssc_omp(DataMatrix(values, unit_normalized=True), 1, 1e-6)
+        c = ssc_omp(DataMatrix(values), 1, 1e-6)
         dense = c.to_dense()
         assert dense[1, 0] == pytest.approx(1.0)
         assert dense[0, 1] == pytest.approx(1.0)
@@ -474,6 +503,14 @@ class TestAdaptiveDriver:
         with pytest.raises(ValueError, match="gram contains non-finite"):
             ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
 
+    def test_gram_diagonal_checked(self, unit_matrix):
+        x = unit_matrix(5, 9, seed=16)
+        gram = x.values.T @ x.values
+        gram[2, 2] = 1.5
+        with pytest.raises(ValueError, match=r"gram must be unit-normalized: the norm of "
+                                             r"column 2 deviates from 1 by \+2\.247e-01"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
+
     @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
     def test_bad_eps_rejected(self, unit_matrix, bad):
         x = unit_matrix(5, 9, seed=16)
@@ -552,7 +589,7 @@ class TestAdaptiveDriver:
         x, sizes, _ = stop_mix(2 * BLOCK + 3, seed=5)
         perm = np.random.default_rng(6).permutation(x.n)
         c = ssc_omp_adaptive(x, KArray(sizes, 8), 1e-6)
-        moved = ssc_omp_adaptive(DataMatrix(x.values[:, perm], unit_normalized=True),
+        moved = ssc_omp_adaptive(DataMatrix(x.values[:, perm]),
                                  KArray(sizes[perm], 8), 1e-6)
         for new, old in enumerate(perm):
             support, coefs = c.column(old)
