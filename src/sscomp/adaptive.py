@@ -29,6 +29,7 @@ UNIT_NORM_TOL = 1e-9
 __all__ = [
     "NeighborhoodScore",
     "KArray",
+    "Gram",
     "gram_matrix",
     "neighborhood_scores",
     "compute_k_array",
@@ -124,33 +125,69 @@ def check_unit_norms(squared_norms: np.ndarray, what: str) -> None:
                          f"deviates from 1 by {dev[bad[0]]:+.3e}")
 
 
-def gram_matrix(x: DataMatrix) -> np.ndarray:
+@dataclass(frozen=True)
+class Gram:
+    """X^T X of unit-norm columns, trusted: a read-only N x N float64 array
+    that is finite and has a unit diagonal. Only :func:`gram_matrix` and
+    :func:`checked_gram` make one, and the checks are theirs; every consumer
+    takes a Gram through :func:`checked_gram`."""
+
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    def rows(self, j: np.ndarray, out: np.ndarray) -> None:
+        """Write the rows G[j] of an index vector j into the (len(j), N)
+        array ``out``."""
+        # the indices are in range; "clip" skips the copy of ``out`` that
+        # take buffers through in its default "raise" mode
+        self.values.take(j, axis=0, out=out, mode="clip")
+
+
+def gram_matrix(x: DataMatrix) -> Gram:
     """X^T X of unit-norm columns: entry (i, j) is the cosine of the angle
     between points i and j. Computed once and shared read-only, both for
     budget selection and for the greedy solver, whose correlation updates
     read its rows. An N x N float64 array: 8 N^2 bytes. The columns are
-    checked to be unit on the diagonal of the product, after it is formed."""
+    checked to be unit on the diagonal of the product, after it is formed;
+    the product is not scanned for finiteness."""
     g = x.values.T @ x.values
+    # DataMatrix values are finite, and a column whose squared norm
+    # overflows fails here; the columns that pass are unit within 1e-9, so
+    # by Cauchy-Schwarz every entry has |G_ij| <= 1 + 1e-9 and none needs a
+    # finiteness scan
     check_unit_norms(np.diagonal(g), "data")
     g.flags.writeable = False
-    return g
+    return Gram(g)
 
 
-def checked_gram(x: DataMatrix, gram: np.ndarray | None) -> np.ndarray:
-    """The Gram of ``x``: :func:`gram_matrix` when ``gram`` is None, else
-    the passed one as float64, which must be N x N with a unit diagonal
-    (see :func:`check_unit_norms`)."""
+def checked_gram(x: DataMatrix, gram: Gram | np.ndarray | None) -> Gram:
+    """The Gram of ``x``, the one place that decides whether a Gram is
+    trusted: :func:`gram_matrix` when ``gram`` is None; a :class:`Gram` as
+    the same object, once it is N x N; any other array as float64, which
+    must be N x N, have a unit diagonal (see :func:`check_unit_norms`) and
+    be finite, in that order, and is then wrapped as a read-only view
+    without a copy. The finiteness check is one O(N^2) pass, the only scan
+    of a whole Gram in this package."""
     if gram is None:
         return gram_matrix(x)
-    gram = np.asarray(gram, dtype=np.float64)
-    if gram.shape != (x.n, x.n):
-        raise ValueError(f"gram must be {x.n} x {x.n}, got shape {gram.shape}")
-    check_unit_norms(np.diagonal(gram), "gram")
-    return gram
+    values = gram.values if isinstance(gram, Gram) else np.asarray(gram, dtype=np.float64)
+    if values.shape != (x.n, x.n):
+        raise ValueError(f"gram must be {x.n} x {x.n}, got shape {values.shape}")
+    if isinstance(gram, Gram):
+        return gram
+    check_unit_norms(np.diagonal(values), "gram")
+    if not np.isfinite(values).all():
+        raise ValueError("gram contains non-finite values")
+    values = values.view()
+    values.flags.writeable = False
+    return Gram(values)
 
 
 def neighborhood_scores(
-    x: DataMatrix, k: int, gram: np.ndarray | None = None
+    x: DataMatrix, k: int, gram: Gram | np.ndarray | None = None
 ) -> NeighborhoodScore:
     """Score each point by the mean similarity to its k-1 nearest neighbors.
 
@@ -161,10 +198,9 @@ def neighborhood_scores(
     undefined and all scores are pinned at the neutral midpoint k/2, which
     downstream yields uniform budgets.
 
-    A passed ``gram`` must be N x N with a unit diagonal, and without one
-    the data must have unit columns (see :func:`checked_gram`); a nan or
-    +inf among a row's k largest entries is rejected, the only entries the
-    scores read.
+    A passed ``gram`` is checked by :func:`checked_gram`: a :class:`Gram`
+    must be N x N, any other array also finite with a unit diagonal, and
+    without one the data must have unit columns.
 
     Memory: besides the Gram (8 N^2 bytes, shared when passed in), the
     scoring holds the N x k top similarities and one block of
@@ -177,7 +213,7 @@ def neighborhood_scores(
         )
     if k > x.n - 1:
         raise ValueError(f"k must be at most N-1 = {x.n - 1}, got {k}")
-    g = checked_gram(x, gram)
+    g = checked_gram(x, gram).values
     # only the k largest similarities per row matter; partitioning first
     # keeps this O(N^2) instead of a full N^2 log N sort, and sorting the
     # k-value slice yields bit-identical means to sorting whole rows. Rows
@@ -186,10 +222,6 @@ def neighborhood_scores(
     for lo in range(0, x.n, PARTITION_ROWS):
         block = g[lo:lo + PARTITION_ROWS]
         top[lo:lo + PARTITION_ROWS] = np.partition(block, x.n - k, axis=1)[:, x.n - k:]
-    # partitioning puts nan and +inf in the top block, and the budgets read
-    # nothing else, so checking it is enough and costs O(N k), not O(N^2)
-    if not np.isfinite(top).all():
-        raise ValueError("gram contains non-finite values")
     ranked = -np.sort(-top, axis=1)
     raw = ranked[:, 1:k].mean(axis=1)
     max_d = float(raw.max())
@@ -204,7 +236,7 @@ def neighborhood_scores(
 
 
 def compute_k_array(
-    x: DataMatrix, k: int, gram: np.ndarray | None = None
+    x: DataMatrix, k: int, gram: Gram | np.ndarray | None = None
 ) -> KArray:
     """Turn neighborhood scores into integer budgets centered on k.
 

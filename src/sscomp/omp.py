@@ -37,17 +37,18 @@ from one-point products, so coefficients can differ from a point-by-point
 pursuit in the last bits (see :func:`_pursue`).
 
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
-target, :func:`ssc_omp_adaptive` a caller-passed Gram. Unit norms are
-checked where they are read: on the Gram diagonal (see
-:func:`sscomp.adaptive.checked_gram`), and in :func:`omp_solve`, which
-forms no Gram, on the dictionary's squared column norms. Each self-expression
-call logs, at DEBUG on the ``sscomp`` logger, how many points stopped for
-each reason in :data:`STOPS`.
+target, and :func:`sscomp.adaptive.checked_gram` a Gram array a caller
+passes; a :class:`~sscomp.adaptive.Gram` made by
+:func:`~sscomp.adaptive.gram_matrix` is finite by construction and is not
+scanned. Unit norms are checked where they are read: on the Gram diagonal,
+by those two functions, and in :func:`omp_solve`, which forms no Gram, on
+the dictionary's squared column norms. Each self-expression call logs, at
+DEBUG on the ``sscomp`` logger, how many points stopped for each reason in
+:data:`STOPS`.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import numbers
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .adaptive import KArray, check_unit_norms, checked_gram
+from .adaptive import Gram, KArray, check_unit_norms, checked_gram
 from .data import DataMatrix
 
 __all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
@@ -189,42 +190,17 @@ class CoefMatrix:
         """Dump as triplet CSV with a header: row, col, value."""
         save_triplets(path, *self.triplets())
 
-    @classmethod
-    def load_csv(cls, path, n: int) -> "CoefMatrix":
-        """Read a triplet CSV as :meth:`save_csv` writes it; the first line
-        must be the ``row,col,value`` header. A line that is not two integer
-        indices in [0, n) and a number raises an error naming the file and
-        the line."""
-        rows, cols, values = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["row", "col", "value"]:
-                raise ValueError(f"{path}: expected a row,col,value header")
-            for line, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    raise ValueError(f"{path}: line {line}: expected row,col,value")
-                try:
-                    r, c, v = int(row[0]), int(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {line}: {exc}") from None
-                if not (0 <= r < n and 0 <= c < n):
-                    raise ValueError(f"{path}: line {line}: index ({r}, {c}) outside [0, {n})")
-                rows.append(r)
-                cols.append(c)
-                values.append(v)
-        return cls.from_triplets(rows, cols, values, n)
 
-
-def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: float,
-            exclude: np.ndarray):
+def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     """OMP for a block of b self-expressions in lockstep, run on Gram rows only.
 
+    ``rows(j, out)`` writes the rows G[j] of an index vector j into the
+    (len(j), n) array ``out``; it is the only view of the n x n Gram.
     Target p is the atom ``exclude[p]``, which is masked out of its own
-    selection. ``corr`` is the (b, N) array of first correlations, the
-    targets' Gram rows, which the loop updates in place; ``res2`` holds the
-    squared target norms (their Gram diagonal) and ``caps`` the per-target
-    atom budgets, at most the N - 1 other atoms. ``rows(j, out)`` writes the
-    Gram rows G[j] of an index vector j into the (len(j), N) array ``out``.
+    selection: its Gram row holds the first correlations, which the loop
+    updates in place, and its diagonal entry the squared target norm.
+    ``caps`` holds the per-target atom budgets, at most the n - 1 other
+    atoms.
 
     The active set's orthonormal basis q_0..q_{t-1} is never formed in
     X-space; each target holds its image ``xq[s] = X^T q_s`` instead, and
@@ -284,7 +260,10 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
     squared residual is tracked as |y|^2 minus the steps' squares, with
     ~1e-16 absolute rounding, so an ``eps`` below ~1e-8 |y| acts as 0.
     """
-    b, n = corr.shape
+    b = exclude.size
+    corr = np.empty((b, n))
+    rows(exclude, corr)
+    res2 = corr[np.arange(b), exclude]
     cap = int(caps.max())
     # step-major, so the live targets' rows xq[t, :live] are one contiguous block
     xq = np.empty((cap, b, n))
@@ -293,7 +272,6 @@ def _pursue(rows, corr: np.ndarray, res2: np.ndarray, caps: np.ndarray, eps: flo
     taken[:, 0] = exclude
     mag = np.empty((b, n))
     update = np.empty((b, n))
-    res2 = np.array(res2, dtype=np.float64)
     dust = COEF_DUST * np.sqrt(res2)
     caps = np.array(caps)
     slot = np.arange(b)  # block position of each live target
@@ -402,10 +380,9 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
     def rows(j, out):
         np.matmul(atoms[:, j].T, atoms, out=out)
 
-    corr = (atoms.T @ atoms[:, n])[None]
     [(support, values, _)] = _pursue(
-        rows, corr, corr[:, n], np.array([min(cfg.max_atoms, n)]),
-        cfg.residual_threshold / norm, exclude=np.array([n]),
+        rows, n + 1, np.array([n]), np.array([min(cfg.max_atoms, n)]),
+        cfg.residual_threshold / norm,
     )
     coefs[support] = values * norm
     return coefs
@@ -423,16 +400,18 @@ def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6) -> CoefMatrix:
 
 
 def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
-                     gram: np.ndarray | None = None) -> CoefMatrix:
+                     gram: Gram | np.ndarray | None = None) -> CoefMatrix:
     """Self-expression with per-point budgets: column i codes point i over
     all other points with at most ``k_array.sizes[i]`` atoms.
 
-    The solver reads the Gram X^T X for every correlation update; ``gram``
-    may pass a precomputed one (from :func:`gram_matrix`, e.g. the one used
-    for budget selection), otherwise it is computed here and held for the
-    call, 8 N^2 bytes. A passed ``gram`` must be N x N and finite; checking
-    its finiteness is one O(N^2) pass, ~5 ms at N=2000. The points run through
-    :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
+    The solver reads the Gram X^T X for every correlation update, through
+    :meth:`Gram.rows <sscomp.adaptive.Gram.rows>`; ``gram`` may pass a
+    precomputed one (from :func:`~sscomp.adaptive.gram_matrix`, e.g. the
+    one used for budget selection), otherwise it is computed here and held
+    for the call, 8 N^2 bytes. :func:`~sscomp.adaptive.checked_gram` takes
+    a passed :class:`~sscomp.adaptive.Gram` as it is once it is N x N, and
+    scans any other array for finiteness, one O(N^2) pass. The points run
+    through :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
     of the budgets so that a block's points tend to stop together (unsorted
     blocks run to their largest budget and compact on nearly every step).
     Each block holds its own arrays, ~BLOCK * (budget + 3) * N floats
@@ -442,30 +421,19 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     DEBUG line on the ``sscomp`` logger gives the point count, nnz and how
     many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
     nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`). The
-    data's columns, or a passed ``gram``'s diagonal, must be unit (see
-    :func:`sscomp.adaptive.checked_gram`).
+    data's columns, or a passed array's diagonal, must be unit.
     """
     check_eps(eps)
     if k_array.n != x.n:
         raise ValueError(
             f"budget vector covers {k_array.n} points, data has {x.n}"
         )
-    passed = gram is not None
     gram = checked_gram(x, gram)
-    if passed and not np.isfinite(gram).all():
-        raise ValueError("gram contains non-finite values")
-
-    def rows(j, out):
-        # argmax indices are in range; "clip" skips the copy of ``out``
-        # that take buffers through in its default "raise" mode
-        gram.take(j, axis=0, out=out, mode="clip")
-
     found = [None] * x.n
     order = np.argsort(k_array.sizes, kind="stable")
     for lo in range(0, x.n, BLOCK):
         block = order[lo:lo + BLOCK]
-        solved = _pursue(rows, gram[block], gram[block, block], k_array.sizes[block], eps,
-                         exclude=block)
+        solved = _pursue(gram.rows, gram.n, block, k_array.sizes[block], eps)
         for i, result in zip(block, solved):
             found[i] = result
     supports, values, stops = zip(*found)

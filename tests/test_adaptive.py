@@ -8,6 +8,7 @@ from sscomp.adaptive import (
     PARTITION_ROWS,
     KArray,
     NeighborhoodScore,
+    checked_gram,
     compute_k_array,
     gram_matrix,
     neighborhood_scores,
@@ -30,7 +31,7 @@ def identical_points(n: int) -> DataMatrix:
 class TestGram:
     def test_values_and_freeze(self, unit_matrix):
         x = unit_matrix(6, 10, seed=1)
-        g = gram_matrix(x)
+        g = gram_matrix(x).values
         np.testing.assert_allclose(g, x.values.T @ x.values)
         np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
@@ -46,7 +47,7 @@ class TestGram:
         # deviation from unit norm passes
         values = np.eye(3)
         values[2, 2] = scale
-        assert np.array_equal(gram_matrix(DataMatrix(values)), values.T @ values)
+        assert np.array_equal(gram_matrix(DataMatrix(values)).values, values.T @ values)
 
     def test_off_unit_column_named(self):
         values = np.eye(3)
@@ -54,6 +55,17 @@ class TestGram:
         with pytest.raises(ValueError, match=r"data must be unit-normalized: the norm of "
                                              r"column 2 deviates from 1 by \+1\.000e-06"):
             gram_matrix(DataMatrix(values))
+
+    def test_checked_gram_passes_a_gram_through(self, unit_matrix):
+        # a Gram is trusted as it is; a raw array is wrapped without a copy,
+        # read-only, and the caller's array stays writeable
+        x = unit_matrix(6, 10, seed=1)
+        g = gram_matrix(x)
+        assert checked_gram(x, g) is g
+        raw = x.values.T @ x.values
+        wrapped = checked_gram(x, raw).values
+        assert np.shares_memory(wrapped, raw)
+        assert not wrapped.flags.writeable and raw.flags.writeable
 
 
 class TestNeighborhoodScores:
@@ -96,7 +108,7 @@ class TestNeighborhoodScores:
         # means must equal those of sorting every whole Gram row
         x = unit_matrix(6, n, seed=n)
         k = 9
-        ranked = -np.sort(-gram_matrix(x), axis=1)
+        ranked = -np.sort(-gram_matrix(x).values, axis=1)
         expected = ranked[:, 1:k].mean(axis=1)
         assert neighborhood_scores(x, k).raw_mean.tobytes() == expected.tobytes()
 
@@ -239,17 +251,18 @@ class TestComputeKArray:
             compute_k_array(x, 4).sizes, compute_k_array(x, 4, gram=g).sizes
         )
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    # -inf at (3, 4) falls below every row's top-k, which the budgets read
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
         x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
-        g = np.array(gram_matrix(x))
+        g = np.array(gram_matrix(x).values)
         g[3, 4] = bad
         with pytest.raises(ValueError, match="gram contains non-finite values"):
             compute_k_array(x, 3, gram=g)
 
     def test_gram_diagonal_checked(self):
         x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
-        g = np.array(gram_matrix(x))
+        g = np.array(gram_matrix(x).values)
         g[2, 2] = 1.5
         with pytest.raises(ValueError, match=r"gram must be unit-normalized: the norm of "
                                              r"column 2 deviates from 1 by \+2\.247e-01"):
@@ -257,8 +270,11 @@ class TestComputeKArray:
 
     def test_gram_shape_checked(self):
         x, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=1))
-        with pytest.raises(ValueError, match=f"gram must be {x.n} x {x.n}"):
-            compute_k_array(x, 3, gram=gram_matrix(x)[:, 1:])
+        other, _ = generate_synthetic(SyntheticSpec(3, 2, 12, 7, rng_seed=1))
+        # a raw array, and a checked Gram of other data
+        for wrong in (gram_matrix(x).values[:, 1:], gram_matrix(other)):
+            with pytest.raises(ValueError, match=f"gram must be {x.n} x {x.n}"):
+                compute_k_array(x, 3, gram=wrong)
 
     def test_spread_on_clustered_data(self, oracle_dataset):
         # clustered data must actually spread the budgets (dense cores above

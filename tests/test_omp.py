@@ -9,7 +9,7 @@ from oracles import omp_reference
 from scipy import sparse
 
 from sscomp import DataMatrix, normalize_columns
-from sscomp.adaptive import KArray, gram_matrix
+from sscomp.adaptive import KArray, compute_k_array, gram_matrix
 from sscomp.omp import (
     BLOCK,
     STOPS,
@@ -36,10 +36,8 @@ def pursue_one(atoms, target, budget, eps, exclude=None, gram=None):
         else:
             gram.take(j, axis=0, out=out)
 
-    corr = atoms.T @ target if gram is None else np.array(gram[exclude], dtype=np.float64)
     cap = min(budget, atoms.shape[1] - 1)
-    [result] = _pursue(rows, corr[None], np.array([target @ target]), np.array([cap]), eps,
-                       np.array([exclude]))
+    [result] = _pursue(rows, atoms.shape[1], np.array([exclude]), np.array([cap]), eps)
     return result
 
 
@@ -107,34 +105,6 @@ class TestCoefMatrix:
         assert values.tolist() == [3.0, -4.0]
         empty_support, empty_values = c.column(0)
         assert empty_support.size == 0 and empty_values.size == 0
-
-    def test_triplet_csv_round_trip(self, tmp_path):
-        c = CoefMatrix.from_triplets([0, 2, 1], [1, 0, 3], [0.5, -1.25, 3.0], 5)
-        path = tmp_path / "coefs.csv"
-        c.save_csv(path)
-        back = CoefMatrix.load_csv(path, 5)
-        assert (c.matrix != back.matrix).nnz == 0
-
-    @pytest.mark.parametrize("first_line", ["0,1,0.5", "foo,bar"])
-    def test_triplet_csv_needs_header(self, tmp_path, first_line):
-        path = tmp_path / "coefs.csv"
-        path.write_text(f"{first_line}\n1,0,0.25\n")
-        with pytest.raises(ValueError, match="row,col,value header") as info:
-            CoefMatrix.load_csv(path, 3)
-        assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize("line, message", [
-        ("1.0,0,0.5", r"invalid literal for int\(\)"),
-        ("1,0,abc", "could not convert string to float"),
-        ("7,0,0.5", r"index \(7, 0\) outside \[0, 4\)"),
-        ("-1,0,0.5", r"index \(-1, 0\) outside \[0, 4\)"),
-    ], ids=["fractional_index", "non_numeric_value", "index_past_n", "negative_index"])
-    def test_triplet_csv_names_bad_line(self, tmp_path, line, message):
-        path = tmp_path / "coefs.csv"
-        path.write_text(f"row,col,value\n0,1,0.25\n{line}\n")
-        with pytest.raises(ValueError, match=f"line 3: {message}") as info:
-            CoefMatrix.load_csv(path, 4)
-        assert str(info.value).startswith(f"{path}: ")
 
     def test_frozen_buffers(self):
         c = CoefMatrix.from_triplets([0], [1], [1.0], 3)
@@ -520,8 +490,32 @@ class TestAdaptiveDriver:
     def test_gram_shape_checked(self, unit_matrix):
         x = unit_matrix(5, 9, seed=16)
         gram = x.values.T @ x.values
-        with pytest.raises(ValueError, match="gram must be 9 x 9"):
-            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram[:8, :8])
+        # a raw array, and a checked Gram of other data
+        for wrong in (gram[:8, :8], gram_matrix(unit_matrix(5, 8, seed=16))):
+            with pytest.raises(ValueError, match="gram must be 9 x 9"):
+                ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=wrong)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 30),
+        dim=st.integers(2, 12),
+        k=st.integers(2, 29),
+        eps=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_gram_forms_agree_bitwise(self, seed, n, dim, k, eps):
+        # budgets and C are the same bits whether the Gram is formed inside,
+        # passed as a checked Gram, or passed as a raw array
+        rng = np.random.default_rng(seed)
+        x = normalize_columns(DataMatrix(rng.standard_normal((dim, n))))
+        k = min(k, n - 1)
+        results = []
+        for gram in (None, gram_matrix(x), np.array(x.values.T @ x.values)):
+            budgets = compute_k_array(x, k, gram=gram)
+            c = ssc_omp_adaptive(x, budgets, eps, gram=gram)
+            assert budgets.sizes.min() >= 1 and budgets.sizes.max() <= n - 2
+            results.append([budgets.sizes.tobytes()] + [a.tobytes() for a in c.triplets()])
+        assert results[1] == results[0] and results[2] == results[0]
 
     def stop_log(self, caplog, x, budgets, eps):
         with caplog.at_level(logging.DEBUG, logger="sscomp"):
@@ -562,7 +556,7 @@ class TestAdaptiveDriver:
         # column must equal the reference and its own block-of-one pursuit,
         # and the logged stop counts the per-column tally
         x, sizes, has_duplicate = stop_mix(n, seed=n)
-        gram = gram_matrix(x)
+        gram = gram_matrix(x).values
         counts = self.stop_log(caplog, x, KArray(sizes, 8), 1e-6)
         c = ssc_omp_adaptive(x, KArray(sizes, 8), 1e-6)
         tally = dict.fromkeys(STOPS, 0)
