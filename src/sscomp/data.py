@@ -137,50 +137,36 @@ class SyntheticSpec:
             )
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    for cell in row:
+def _raise_bad_cell(path, line: int, row: list[str]) -> None:
+    """Raise for the first cell of ``row`` that is not a finite number,
+    naming its row and column."""
+    for c, cell in enumerate(row):
         try:
-            float(cell)
+            v = float(cell)
         except ValueError:
-            return True
-    return False
-
-
-def _raise_first_bad_row(path, body: list[list[str]], start: int, width: int) -> None:
-    """Slow path after the bulk conversion failed: raise for the first row
-    with the wrong field count or a cell that is not a finite number, naming
-    its row (and column). Returns when every row is fine."""
-    for r, row in enumerate(body):
-        line = start + r + 1
-        if len(row) != width:
             raise ValueError(
-                f"{path}: row {line} has {len(row)} fields, expected {width}"
+                f"{path}: row {line}, column {c + 1}: cannot parse {cell.strip()!r} as a number"
+            ) from None
+        if not math.isfinite(v):
+            raise ValueError(
+                f"{path}: row {line}, column {c + 1}: non-finite value {cell.strip()!r}"
             )
-        for c, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line}, column {c + 1}: cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}: row {line}, column {c + 1}: non-finite value {cell.strip()!r}"
-                )
 
 
 def _integer_labels(raw: np.ndarray, where) -> Labels:
     """Labels from integer-valued ids, remapped to contiguous 0-based ids.
 
-    Ids of a non-integer dtype must be finite whole numbers; the first that
-    is not raises, named by ``where(index)``.
+    Ids of a non-integer dtype must be whole numbers in the int64 range; the
+    first that is not raises, named by ``where(index)``.
     """
     if raw.dtype.kind not in "biu":
         raw = np.asarray(raw, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.floor(raw)))
+        fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
+        bad = np.flatnonzero(fractional | (raw < -(2.0**63)) | (raw >= 2.0**63))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"{where(i)}: label {float(raw[i])} is not an integer")
+            problem = "is not an integer" if fractional[i] else "is outside the int64 range"
+            raise ValueError(f"{where(i)}: label {float(raw[i])} {problem}")
     _, contiguous = np.unique(raw.astype(np.int64), return_inverse=True)
     return Labels(contiguous, int(contiguous.max()) + 1)
 
@@ -188,37 +174,50 @@ def _integer_labels(raw: np.ndarray, where) -> Labels:
 def load_csv(path, has_labels: bool = False):
     """Load a CSV of points (one row per point) into a DataMatrix.
 
-    A non-numeric first row is treated as a header and skipped. When
-    ``has_labels`` is set the last column must hold integer labels, which are
-    remapped to contiguous 0-based ids.
+    The file is read in one pass, as UTF-8 with an optional byte-order mark.
+    Blank rows are skipped and not counted. Each other row is converted to
+    floats as it is read, so only numbers are held. A first row that does not
+    convert is a header and is skipped. Every data row must have the field
+    count of the first one and hold finite numbers; the first row that does
+    not raises, naming its row (and column). When ``has_labels`` is set the
+    last column must hold integer labels, which are remapped to contiguous
+    0-based ids.
 
     Returns ``(DataMatrix, Labels | None)``.
     """
-    with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not raw:
+    kept, width, line = [], 0, 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row in csv.reader(fh):
+            if not any(cell.strip() for cell in row):
+                continue
+            line += 1
+            try:
+                point = np.array(row, dtype=np.float64)
+            except ValueError:
+                if line == 1:
+                    continue  # a first row that is not all numbers is the header
+                point = None
+            if not width:
+                width = len(row)
+                if has_labels and width < 2:
+                    raise ValueError(
+                        f"{path}: need at least one feature column plus a label column"
+                    )
+            elif len(row) != width:
+                raise ValueError(f"{path}: row {line} has {len(row)} fields, expected {width}")
+            if point is None or not np.isfinite(point).all():
+                _raise_bad_cell(path, line, row)
+            kept.append(point)
+    if not line:
         raise ValueError(f"{path}: empty CSV")
-    start = 1 if _looks_like_header(raw[0]) else 0
-    if start == len(raw):
+    if not kept:
         raise ValueError(f"{path}: header but no data rows")
-    width = len(raw[start])
-    if has_labels and width < 2:
-        raise ValueError(f"{path}: need at least one feature column plus a label column")
-
-    body = raw[start:]
-    try:
-        rows = np.array(body, dtype=np.float64)
-    except ValueError:
-        _raise_first_bad_row(path, body, start, width)
-        raise
-    if not np.isfinite(rows).all():
-        _raise_first_bad_row(path, body, start, width)
+    rows, start = np.array(kept), line - len(kept)
 
     labels = None
     if has_labels:
-        raw_labels = rows[:, -1]
+        labels = _integer_labels(rows[:, -1], lambda i: f"{path}: row {start + i + 1}")
         rows = rows[:, :-1]
-        labels = _integer_labels(raw_labels, lambda i: f"{path}: row {start + i + 1}")
 
     if rows.shape[0] < 3:
         raise ValueError(f"{path}: need at least 3 points, got {rows.shape[0]}")
@@ -273,13 +272,13 @@ def save_labels(labels: Labels, path) -> None:
 
 
 def load_labels(path) -> Labels:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty label file")
     try:
         raw = np.array([int(line) for line in lines], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: labels must be integers ({exc})") from None
     return _integer_labels(raw, lambda i: f"{path}: label {i}")
 

@@ -117,6 +117,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"row 1: label 0\.5 is not an integer"):
             load_csv(path, has_labels=True)
 
+    def test_labels_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "widelabel.csv"
+        path.write_text("f0,f1,label\n\n1,0,1\n0,1,1e20\n1,1,2e20\n0,2,1e20\n")
+        with pytest.raises(ValueError, match=r"row 3: label 1e\+20 is outside the int64 range"):
+            load_csv(path, has_labels=True)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -159,6 +165,20 @@ class TestLoadNpz:
         with pytest.raises(ValueError, match=rf"'labels' entry 3: label {shown} is not an integer"):
             load_npz(path, has_labels=True)
 
+    @pytest.mark.parametrize("wide, shown", [(2.0**63, r"9\.223372036854776e\+18"), (1e20, r"1e\+20")],
+                             ids=["2**63", "1e20"])
+    def test_labels_outside_int64_rejected(self, tmp_path, wide, shown):
+        path = tmp_path / "widelabels.npz"
+        np.savez(path, values=np.eye(5), labels=np.array([0.0, wide, 2 * wide, wide, 0.0]))
+        with pytest.raises(ValueError, match=rf"'labels' entry 1: label {shown} is outside the int64 range"):
+            load_npz(path, has_labels=True)
+
+    def test_int64_minimum_label_accepted(self, tmp_path):
+        path = tmp_path / "minlabel.npz"
+        np.savez(path, values=np.eye(5), labels=np.array([-(2.0**63), 0.0, -(2.0**63), 0.0, 0.0]))
+        _, y = load_npz(path, has_labels=True)
+        assert y.assignments.tolist() == [0, 1, 0, 1, 1]
+
     def test_integer_valued_float_labels_accepted(self, tmp_path):
         path = tmp_path / "floatlabels.npz"
         np.savez(path, values=np.eye(5), labels=np.array([3.0, 3.0, 7.0, 7.0, 3.0]))
@@ -172,6 +192,19 @@ def test_labels_csv_round_trip(tmp_path):
     save_labels(y, path)
     back = load_labels(path)
     assert np.array_equal(back.assignments, y.assignments)
+
+
+def test_labels_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbf2\n0\n2\n")
+    assert load_labels(path).assignments.tolist() == [1, 0, 1]
+
+
+def test_labels_file_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("1\n100000000000000000000\n1\n")
+    with pytest.raises(ValueError, match="labels must be integers"):
+        load_labels(path)
 
 
 class TestNormalize:

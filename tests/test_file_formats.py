@@ -2,6 +2,8 @@
 input forms. These pin the on-disk formats so the readers and writers can be
 reimplemented underneath without changing a byte."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -146,3 +148,55 @@ class TestParser:
         x, y = load_csv(path, has_labels=True)
         assert x.values.T.tolist() == [[1.5, -2.0], [0.25, 1e-3], [4.0, 5.0]]
         assert y.assignments.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n\n  ,  \n", "header but no data rows"),
+        ("\n  ,  \n,,\n", "empty CSV"),
+        ("1,2\n3,4\n", "need at least 3 points, got 2"),
+        ("1,2\n3,x,5\n6,7\n", "row 2 has 3 fields, expected 2"),
+    ])
+    def test_rejection_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["1\n2\nx\n", "f\nx\n3\n4\n"])
+    def test_label_column_width_checked_before_any_bad_row(self, tmp_path, text):
+        path = tmp_path / "narrow.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, has_labels=True)
+        assert str(info.value) == (
+            f"{path}: need at least one feature column plus a label column"
+        )
+
+    def test_byte_order_mark_keeps_the_first_point(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,0,0\r\n0,1,0\r\n1,1,1\r\n0.5,2,1\r\n")
+        x, y = load_csv(path, has_labels=True)
+        assert x.values.T.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 2.0]]
+        assert y.assignments.tolist() == [0, 0, 1, 1]
+
+    def test_loader_holds_only_numbers(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = DataMatrix(rng.standard_normal((400, 300)))
+        path = tmp_path / "wide.csv"
+        save_csv(x, path, labels=Labels(np.arange(300) % 3, 3))
+        tracemalloc.start()
+        try:
+            loaded, _ = load_csv(path, has_labels=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, x.values)
+        assert peak < 5 * loaded.values.nbytes
+
+    @pytest.mark.parametrize("first, is_header", [("1_000, 1.5 ", False), ("0x10,1", True), (",1", True)])
+    def test_header_is_a_first_row_that_float_rejects(self, tmp_path, first, is_header):
+        path = tmp_path / "first.csv"
+        path.write_text(f"{first}\n1,2\n3,4\n5,6\n")
+        x, _ = load_csv(path)
+        body = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert x.values.T.tolist() == (body if is_header else [[1000.0, 1.5]] + body)
