@@ -1,8 +1,9 @@
 """Affinity construction and normalized spectral clustering.
 
 The self-expression matrix C becomes graph weights A = |C| + |C^T|; the
-segmentation comes from k-means on the bottom eigenvectors of the symmetric
-normalized Laplacian of A.
+segmentation is the graph's connected components when they number exactly
+the clusters asked for, and otherwise comes from k-means on the bottom
+eigenvectors of the symmetric normalized Laplacian of A.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lobpcg
 from scipy.spatial.distance import cdist
 
@@ -200,7 +202,7 @@ def _max_residual(lap: sparse.csr_array, values: np.ndarray, vectors: np.ndarray
     return float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max())
 
 
-def _bottom_eigenvectors(lap: sparse.csr_array, k: int) -> np.ndarray:
+def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarray:
     """Eigenvectors of the k smallest eigenvalues of the Laplacian.
 
     Block LOBPCG from a fixed-seed random start block, kept when every
@@ -209,7 +211,10 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int) -> np.ndarray:
     component and is often exactly k-fold; single-vector Lanczos misses
     copies of such an eigenvalue. Dense ``eigh`` runs instead below 5k
     vertices, where LOBPCG cannot run ("dense-small"), and when LOBPCG
-    fails the residual check ("dense-fallback").
+    fails the residual check ("dense-fallback"). It runs only for graphs
+    that ``spectral_cluster`` does not label by their components; ``graph``
+    (their component and isolated-vertex counts) goes into every DEBUG
+    line.
     """
     n = lap.shape[0]
     path = "dense-small"
@@ -225,34 +230,31 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int) -> np.ndarray:
         except np.linalg.LinAlgError:
             residual = np.nan
         if residual <= RESIDUAL_TOL:
-            logger.debug("eigensolver lobpcg: n=%d k=%d max residual %.3g", n, k, residual)
+            logger.debug("eigensolver lobpcg: n=%d k=%d %s max residual %.3g",
+                         n, k, graph, residual)
             return vectors
         path = "dense-fallback"
-        logger.debug("lobpcg rejected: n=%d k=%d max residual %.3g > %g",
-                     n, k, residual, RESIDUAL_TOL)
+        logger.debug("lobpcg rejected: n=%d k=%d %s max residual %.3g > %g",
+                     n, k, graph, residual, RESIDUAL_TOL)
     try:
         values, vectors = eigh(lap.toarray(), subset_by_index=[0, k - 1])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Laplacian eigendecomposition failed: {exc}") from exc
-    logger.debug("eigensolver %s: n=%d k=%d max residual %.3g",
-                 path, n, k, _max_residual(lap, values, vectors))
+    logger.debug("eigensolver %s: n=%d k=%d %s max residual %.3g",
+                 path, n, k, graph, _max_residual(lap, values, vectors))
     return vectors
 
 
-def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
-    """Segment the affinity graph into cfg.n_clusters groups.
+def _eigensolver_labels(a: AffinityMatrix, cfg: SpectralConfig, graph: str) -> Labels:
+    """Spectral clustering proper, for graphs their components do not label.
 
     Embedding: eigenvectors of the n_clusters smallest eigenvalues of the
-    normalized Laplacian (see _bottom_eigenvectors), rows rescaled to unit
-    length (all-zero rows kept as zero). Assignment: k-means over the
-    embedded rows, kmeans++ seeding, KMEANS_RESTARTS restarts, lowest
-    inertia kept. Deterministic under cfg.rng_seed.
+    normalized Laplacian (see _bottom_eigenvectors, which logs ``graph``),
+    rows rescaled to unit length (all-zero rows kept as zero). Assignment:
+    k-means over the embedded rows, kmeans++ seeding, KMEANS_RESTARTS
+    restarts, lowest inertia kept.
     """
-    if cfg.n_clusters > a.n:
-        raise ValueError(
-            f"cannot split {a.n} points into {cfg.n_clusters} clusters"
-        )
-    vectors = _bottom_eigenvectors(normalized_laplacian(a), cfg.n_clusters)
+    vectors = _bottom_eigenvectors(normalized_laplacian(a), cfg.n_clusters, graph)
     norms = np.linalg.norm(vectors, axis=1)
     embedding = np.divide(
         vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0
@@ -261,3 +263,32 @@ def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
         embedding, cfg.n_clusters, KMEANS_RESTARTS, KMEANS_MAX_ITERS, cfg.rng_seed
     )
     return Labels(assignments, cfg.n_clusters)
+
+
+def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
+    """Segment the affinity graph into cfg.n_clusters groups.
+
+    Components first: one ``connected_components`` pass. When the graph has
+    exactly n_clusters components and no isolated vertex, the components are
+    the segmentation, ids numbered by each component's lowest point index
+    (DEBUG path "components"). The bottom eigenspace of the normalized
+    Laplacian is then spanned by the vectors D^{1/2} 1_S of the components
+    S (von Luxburg 2007, Prop. 4), so the eigensolver path's embedding
+    would put each component on one unit vector and its k-means could only
+    return the same partition. Any other graph, including one with an
+    isolated vertex (its own component, with L_ii = 1 and no eigenvalue 0),
+    goes to _eigensolver_labels. Deterministic under cfg.rng_seed.
+    """
+    if cfg.n_clusters > a.n:
+        raise ValueError(
+            f"cannot split {a.n} points into {cfg.n_clusters} clusters"
+        )
+    # scipy numbers components in order of their lowest vertex; with a zero
+    # diagonal, a component of one vertex is exactly a vertex of degree 0
+    count, components = connected_components(a.values, directed=False)
+    isolated = int((np.bincount(components) == 1).sum())
+    graph = f"components={count} isolated={isolated}"
+    if count == cfg.n_clusters and not isolated:
+        logger.debug("eigensolver components: n=%d k=%d %s", a.n, cfg.n_clusters, graph)
+        return Labels(components, count)
+    return _eigensolver_labels(a, cfg, graph)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import normalized_laplacian_reference
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -14,6 +16,7 @@ from sscomp.omp import CoefMatrix, ssc_omp
 from sscomp.spectral import (
     AffinityMatrix,
     SpectralConfig,
+    _eigensolver_labels,
     _kmeans,
     _kmeans_single,
     build_affinity,
@@ -195,6 +198,30 @@ class TestSpectralConfig:
             SpectralConfig(n_clusters=2, rng_seed=0.5)
 
 
+def block_graph(sizes, seed: int) -> tuple[AffinityMatrix, np.ndarray]:
+    """Disjoint weighted blocks, each connected (a random spanning tree plus
+    random extra edges), with the vertices shuffled. Returns the affinity and
+    each vertex's block, numbered in order of the block's lowest vertex."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    order = rng.permutation(n)
+    dense = np.zeros((n, n))
+    block = np.empty(n, dtype=np.int64)
+    start = 0
+    for b, size in enumerate(sizes):
+        members = order[start:start + size]
+        block[members] = b
+        for i in range(1, size):
+            dense[members[i], members[rng.integers(i)]] = rng.uniform(0.1, 10.0)
+        extra = np.triu(rng.random((size, size)) < 0.3, k=1)
+        dense[np.ix_(members, members)] += np.where(extra, rng.uniform(0.1, 10.0, extra.shape), 0.0)
+        start += size
+    firsts = np.unique(block, return_index=True)[1]
+    renumber = np.empty(len(sizes), dtype=np.int64)
+    renumber[np.argsort(firsts)] = np.arange(len(sizes))
+    return affinity_from_dense(dense + dense.T), renumber[block]
+
+
 class TestSpectralCluster:
     def block_affinity(self, sizes, weight=1.0):
         n = sum(sizes)
@@ -258,8 +285,12 @@ class TestSpectralCluster:
         assert connected_components(a.values)[0] == (1 if noisy else 5)
         cfg = SpectralConfig(n_clusters=5, rng_seed=2)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        labels = spectral_cluster(a, cfg)
+        if noisy:
+            labels = spectral_cluster(a, cfg)
+        else:  # spectral_cluster would label this graph by its components
+            labels = _eigensolver_labels(a, cfg, "components=5 isolated=0")
         assert solver_logs(caplog)[-1].startswith("eigensolver lobpcg:")
+        assert f"components={1 if noisy else 5} isolated=0 " in solver_logs(caplog)[-1]
         assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
 
     @pytest.mark.parametrize("failure", ["unconverged", "linalg-error"])
@@ -274,8 +305,9 @@ class TestSpectralCluster:
         caplog.set_level(logging.DEBUG, logger="sscomp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = spectral_cluster(self.block_affinity([6] * 5),
-                                      SpectralConfig(n_clusters=5, rng_seed=3))
+            labels = _eigensolver_labels(self.block_affinity([6] * 5),
+                                         SpectralConfig(n_clusters=5, rng_seed=3),
+                                         "components=5 isolated=0")
         logs = solver_logs(caplog)
         assert logs[0].startswith("lobpcg rejected:")
         assert logs[-1].startswith("eigensolver dense-fallback:")
@@ -301,14 +333,69 @@ class TestSpectralCluster:
     def test_logs_eigensolver_path_and_residual(self, oracle_dataset, caplog):
         x, _ = oracle_dataset
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        spectral_cluster(build_affinity(ssc_omp(x, 8, 1e-6)), SpectralConfig(n_clusters=5))
-        spectral_cluster(self.block_affinity([4, 5]), SpectralConfig(n_clusters=2))
+        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), SpectralConfig(n_clusters=5),
+                            "components=5 isolated=0")
+        _eigensolver_labels(self.block_affinity([4, 5]), SpectralConfig(n_clusters=2),
+                            "components=2 isolated=0")
         logs = solver_logs(caplog)
         assert [line.split(":")[0] for line in logs] == [
             "eigensolver lobpcg", "eigensolver dense-small"]
         for line in logs:
             residual = float(re.search(r"max residual (\S+)", line).group(1))
             assert 0.0 <= residual <= spectral.RESIDUAL_TOL
+
+    def test_clean_subspaces_labeled_by_components(self, caplog):
+        # the graph of test_lobpcg_matches_dense_reference[k-components]
+        x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
+        a = build_affinity(ssc_omp(x, 8, 1e-6))
+        cfg = SpectralConfig(n_clusters=5, rng_seed=2)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        labels = spectral_cluster(a, cfg)
+        assert solver_logs(caplog) == [
+            "eigensolver components: n=200 k=5 components=5 isolated=0"]
+        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+        assert np.array_equal(labels.assignments, connected_components(a.values)[1])
+
+    @pytest.mark.parametrize("sizes, path", [
+        ([7, 1, 7, 7], "lobpcg"),
+        ([1, 6, 6, 6], "dense-small"),
+    ])
+    def test_isolated_vertex_takes_eigensolver_path(self, sizes, path, caplog):
+        # K components, but one is a vertex of degree 0: no eigenvalue 0
+        # belongs to it, so the components rule does not hold
+        a = self.block_affinity(sizes)
+        cfg = SpectralConfig(n_clusters=4, rng_seed=1)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        labels = spectral_cluster(a, cfg)
+        logs = solver_logs(caplog)
+        assert logs[-1].startswith(f"eigensolver {path}: n={sum(sizes)} k=4 "
+                                   "components=4 isolated=1 max residual")
+        assert not any(line.startswith("eigensolver components") for line in logs)
+        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+
+    @pytest.mark.parametrize("sizes, k, paths, counts", [
+        ([3, 4, 5, 6, 7, 8, 9], 3, ["lobpcg rejected", "eigensolver dense-fallback"],
+         "components=7 isolated=0"),
+        ([3] * 7, 5, ["eigensolver dense-small"], "components=7 isolated=0"),
+        ([4, 5], 2, ["eigensolver components"], "components=2 isolated=0"),
+    ])
+    def test_every_line_reports_the_graph(self, sizes, k, paths, counts, monkeypatch, caplog):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", -1.0)  # reject every LOBPCG run
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        spectral_cluster(self.block_affinity(sizes), SpectralConfig(n_clusters=k))
+        logs = solver_logs(caplog)
+        assert [line.split(":")[0] for line in logs] == paths
+        for line in logs:
+            assert f"n={sum(sizes)} k={k} {counts}" in line
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 8), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_block_graphs_labeled_by_their_blocks(self, sizes, seed):
+        a, blocks = block_graph(sizes, seed)
+        cfg = SpectralConfig(n_clusters=len(sizes), rng_seed=seed % 7)
+        labels = spectral_cluster(a, cfg)
+        assert np.array_equal(labels.assignments, blocks)
+        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
 
 
 class TestKmeansInternals:
