@@ -41,10 +41,9 @@ from .metrics import (
     subspace_preserving_error,
     subspace_preserving_rate,
 )
-from .omp import CoefMatrix, OmpConfig, omp_solve, ssc_omp, ssc_omp_adaptive
+from .omp import CoefMatrix, omp_solve, ssc_omp, ssc_omp_adaptive
 from .spectral import (
     AffinityMatrix,
-    SpectralConfig,
     build_affinity,
     normalized_laplacian,
     spectral_cluster,
@@ -62,8 +61,6 @@ __all__ = [
     "Labels",
     "MetricsReport",
     "NeighborhoodScore",
-    "OmpConfig",
-    "SpectralConfig",
     "SweepSpec",
     "SyntheticSpec",
     "accuracy",

@@ -10,13 +10,12 @@ inter-point angles.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataMatrix
-from .util import round_half_away_from_zero
+from .util import check_integer, round_half_away_from_zero
 
 # Gram rows partitioned per call in neighborhood_scores: its temporary is
 # PARTITION_ROWS x N floats (1 MB at N=2000) rather than a copy of the
@@ -47,6 +46,8 @@ class NeighborhoodScore:
         normalized = base_k * (raw_mean - min_d) / (max_d - min_d)
 
     so the densest point scores base_k and the most isolated scores 0.
+    ``base_k`` is the k of :func:`neighborhood_scores`, an integer of at
+    least 2.
     """
 
     raw_mean: np.ndarray
@@ -56,6 +57,7 @@ class NeighborhoodScore:
     base_k: int
 
     def __post_init__(self):
+        check_integer(self.base_k, "base_k", 2)
         raw = np.array(self.raw_mean, dtype=np.float64)
         norm = np.array(self.normalized, dtype=np.float64)
         if raw.ndim != 1 or norm.shape != raw.shape:
@@ -96,8 +98,7 @@ class KArray:
             raise ValueError(f"every budget must be at least 1, in {bounds}, got {sizes.min()}")
         if sizes.max() > sizes.size - 2:
             raise ValueError(f"every budget must be at most N-2, in {bounds}, got {sizes.max()}")
-        if not isinstance(self.base_k, numbers.Integral) or self.base_k < 1:
-            raise ValueError(f"base_k must be an integer of at least 1, got {self.base_k!r}")
+        check_integer(self.base_k, "base_k", 1)
         sizes = sizes.astype(np.int64, copy=False)
         sizes.flags.writeable = False
         object.__setattr__(self, "sizes", sizes)
@@ -207,10 +208,7 @@ def neighborhood_scores(
     ``PARTITION_ROWS`` partitioned rows, so its own working set is
     O(N (k + PARTITION_ROWS)) rather than a second N x N copy.
     """
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise ValueError(
-            f"k must be an integer of at least 2 (k-1 neighbors are averaged), got {k!r}"
-        )
+    check_integer(k, "k", 2)  # k-1 neighbors are averaged
     if k > x.n - 1:
         raise ValueError(f"k must be at most N-1 = {x.n - 1}, got {k}")
     g = checked_gram(x, gram).values

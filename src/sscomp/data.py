@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .util import round_half_away_from_zero
+from .util import check_integer, round_half_away_from_zero
 
 __all__ = [
     "DataMatrix",
@@ -85,8 +84,7 @@ class Labels:
         arr = np.array(self.assignments, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("assignments must be a 1-d integer vector")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be positive")
+        check_integer(self.n_clusters, "n_clusters", 1)
         if arr.size == 0:
             raise ValueError("assignments must be non-empty")
         if arr.min() < 0 or arr.max() >= self.n_clusters:
@@ -123,11 +121,8 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_subspaces", "subspace_dim", "ambient_dim", "points_per_subspace"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+            check_integer(getattr(self, name), name, 1)
+        check_integer(self.rng_seed, "rng_seed", 0)
         if self.subspace_dim >= self.ambient_dim:
             raise ValueError("subspace_dim must be smaller than ambient_dim")
         if self.n_subspaces * self.subspace_dim > self.ambient_dim:
@@ -156,8 +151,8 @@ def _raise_bad_cell(path, line: int, row: list[str]) -> None:
 def _integer_labels(raw: np.ndarray, where) -> Labels:
     """Labels from integer-valued ids, remapped to contiguous 0-based ids.
 
-    Ids of a non-integer dtype must be whole numbers in the int64 range; the
-    first that is not raises, named by ``where(index)``.
+    Ids of a non-integer dtype must be integer-valued and in the int64
+    range; the first that is not raises, named by ``where(index)``.
     """
     if raw.dtype.kind not in "biu":
         raw = np.asarray(raw, dtype=np.float64)
@@ -176,9 +171,9 @@ def load_csv(path, has_labels: bool = False):
 
     The file is read in one pass, as UTF-8 with an optional byte-order mark.
     Blank rows are skipped and not counted. Each other row is converted to
-    floats as it is read, so only numbers are held. A first row that does not
+    floats as it is read, so only floats are held. A first row that does not
     convert is a header and is skipped. Every data row must have the field
-    count of the first one and hold finite numbers; the first row that does
+    count of the first one and hold finite values; the first row that does
     not raises, naming its row (and column). When ``has_labels`` is set the
     last column must hold integer labels, which are remapped to contiguous
     0-based ids.
@@ -195,7 +190,7 @@ def load_csv(path, has_labels: bool = False):
                 point = np.array(row, dtype=np.float64)
             except ValueError:
                 if line == 1:
-                    continue  # a first row that is not all numbers is the header
+                    continue  # a first row that is not all floats is the header
                 point = None
             if not width:
                 width = len(row)

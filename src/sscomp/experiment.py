@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -44,7 +43,8 @@ from .metrics import (
     subspace_preserving_rate,
 )
 from .omp import check_eps, ssc_omp, ssc_omp_adaptive
-from .spectral import SpectralConfig, build_affinity, spectral_cluster
+from .spectral import build_affinity, spectral_cluster
+from .util import check_integer
 
 __all__ = [
     "ExperimentConfig",
@@ -122,13 +122,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name, low in (("n_clusters", 2), ("k", 1), ("trials", 1),
-                          ("samples_per_cluster", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value is None and name == "samples_per_cluster":
-                continue
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        for name, low in (("n_clusters", 2), ("k", 1), ("trials", 1), ("seed", 0)):
+            check_integer(getattr(self, name), name, low)
+        if self.samples_per_cluster is not None:
+            check_integer(self.samples_per_cluster, "samples_per_cluster", 1)
         check_eps(self.eps)
         _check_noise_args(self.noise_sigma, self.noise_variance)
         if self.noise_mode not in ("corrupt", "blend"):
@@ -241,8 +238,6 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
             x = normalize_columns(x)
         sample_hash = hashlib.sha1(indices.tobytes()).hexdigest()[:12]
 
-        spectral_cfg = SpectralConfig(n_clusters=cfg.n_clusters, rng_seed=kmeans_seed)
-
         start = time.perf_counter()
         if cfg.method == "adaptive-omp":
             gram = gram_matrix(x)
@@ -251,7 +246,7 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         else:
             coefs = ssc_omp(x, cfg.k, cfg.eps)
         affinity = build_affinity(coefs)
-        predicted = spectral_cluster(affinity, spectral_cfg)
+        predicted = spectral_cluster(affinity, cfg.n_clusters, kmeans_seed)
         seconds = time.perf_counter() - start
 
         report = MetricsReport(
@@ -289,9 +284,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsReport]:
     processes when more than one. The dataset is loaded once, here, and
     passed to every trial. Trial order in the result is by trial index
     either way."""
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"worker count must be positive (an integer of at least 1), "
-                         f"got {workers!r}")
+    check_integer(workers, "workers", 1)
     context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
                f"seed={cfg.seed}")
     try:

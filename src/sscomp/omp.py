@@ -50,7 +50,6 @@ DEBUG on the ``sscomp`` logger, how many points stopped for each reason in
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +57,9 @@ from scipy import sparse
 
 from .adaptive import Gram, KArray, check_unit_norms, checked_gram
 from .data import DataMatrix
+from .util import check_integer
 
-__all__ = ["OmpConfig", "CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
+__all__ = ["CoefMatrix", "omp_solve", "ssc_omp", "ssc_omp_adaptive"]
 
 # below this, the best remaining |correlation| is numerical dust: selecting
 # would add atoms with ~zero coefficients forever
@@ -80,7 +80,7 @@ BLOCK = 32
 logger = logging.getLogger("sscomp")
 
 
-def check_eps(eps: float, name: str = "eps") -> None:
+def check_eps(eps: float) -> None:
     """Reject a residual threshold that is negative, nan or infinite.
 
     eps = 0 is valid and runs each pursuit to its budget. The loop tracks
@@ -88,26 +88,7 @@ def check_eps(eps: float, name: str = "eps") -> None:
     ~1e-8 |target| acts as 0.
     """
     if not 0.0 <= eps < np.inf:
-        raise ValueError(f"{name} must be a finite number >= 0, got {eps!r}")
-
-
-@dataclass(frozen=True)
-class OmpConfig:
-    """Stopping rules for a single solve: atom budget and residual target.
-
-    The threshold is compared against the absolute Euclidean norm of the
-    residual; targets are unit-norm throughout this package, so absolute and
-    relative readings coincide. A threshold below ~1e-8 acts as 0 (see
-    :func:`check_eps`).
-    """
-
-    max_atoms: int
-    residual_threshold: float = 1e-6
-
-    def __post_init__(self):
-        if not isinstance(self.max_atoms, numbers.Integral) or self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be a positive integer, got {self.max_atoms!r}")
-        check_eps(self.residual_threshold, "residual_threshold")
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
 
 
 def save_triplets(path, rows, cols, values) -> None:
@@ -342,20 +323,25 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     return out
 
 
-def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.ndarray:
+def omp_solve(dictionary: DataMatrix, target: np.ndarray, k: int,
+              eps: float = 1e-6) -> np.ndarray:
     """Sparse-code one target against a unit-norm dictionary.
 
     Returns a dense length-N coefficient vector whose nonzeros sit on the
-    selected atoms (at most ``cfg.max_atoms`` of them). The target is
-    scaled to unit norm and appended to the dictionary as atom N, which
-    :func:`_pursue` excludes and codes over the others, with
-    ``cfg.residual_threshold / |target|``; the coefficients are scaled back.
-    So the answer does not depend on the target's scale, a zero target gets
-    zeros, and a target whose norm overflows float64 is rejected. The
-    dictionary's columns must be unit (see
-    :func:`sscomp.adaptive.check_unit_norms`), checked on their squared
-    norms in O(dim N).
+    selected atoms, at most ``k`` of them (an integer of at least 1). The
+    pursuit stops once the absolute Euclidean norm of the residual is below
+    ``eps``, which must be finite and nonnegative; below ~1e-8 |target| it
+    acts as 0 (see :func:`check_eps`). The target is scaled to unit norm
+    and appended to the dictionary as atom N, which :func:`_pursue`
+    excludes and codes over the others, with ``eps / |target|``; the
+    coefficients are scaled back. So the answer does not depend on the
+    target's scale, a zero target gets zeros, and a target whose norm
+    overflows float64 is rejected. The dictionary's columns must be unit
+    (see :func:`sscomp.adaptive.check_unit_norms`), checked on their
+    squared norms in O(dim N).
     """
+    check_integer(k, "k", 1)
+    check_eps(eps)
     check_unit_norms(np.einsum("ij,ij->j", dictionary.values, dictionary.values), "dictionary")
     target = np.asarray(target, dtype=np.float64).reshape(-1)
     if target.size != dictionary.dim:
@@ -381,9 +367,7 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, cfg: OmpConfig) -> np.
         np.matmul(atoms[:, j].T, atoms, out=out)
 
     [(support, values, _)] = _pursue(
-        rows, n + 1, np.array([n]), np.array([min(cfg.max_atoms, n)]),
-        cfg.residual_threshold / norm,
-    )
+        rows, n + 1, np.array([n]), np.array([min(k, n)]), eps / norm)
     coefs[support] = values * norm
     return coefs
 

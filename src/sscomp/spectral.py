@@ -9,7 +9,6 @@ eigenvectors of the symmetric normalized Laplacian of A.
 from __future__ import annotations
 
 import logging
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,10 +21,10 @@ from scipy.spatial.distance import cdist
 
 from .data import Labels
 from .omp import CoefMatrix, frozen_square, save_triplets
+from .util import check_integer
 
 __all__ = [
     "AffinityMatrix",
-    "SpectralConfig",
     "build_affinity",
     "normalized_laplacian",
     "spectral_cluster",
@@ -77,18 +76,6 @@ class AffinityMatrix:
         """Triplet dump (row, col, value), one line per stored nonzero."""
         coo = self.values.tocoo()
         save_triplets(path, coo.row, coo.col, coo.data)
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    n_clusters: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.n_clusters, numbers.Integral) or self.n_clusters < 2:
-            raise ValueError(f"n_clusters must be an integer of at least 2, got {self.n_clusters!r}")
-        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def build_affinity(c: CoefMatrix) -> AffinityMatrix:
@@ -245,7 +232,8 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarra
     return vectors
 
 
-def _eigensolver_labels(a: AffinityMatrix, cfg: SpectralConfig, graph: str) -> Labels:
+def _eigensolver_labels(a: AffinityMatrix, n_clusters: int, rng_seed: int,
+                        graph: str) -> Labels:
     """Spectral clustering proper, for graphs their components do not label.
 
     Embedding: eigenvectors of the n_clusters smallest eigenvalues of the
@@ -254,19 +242,18 @@ def _eigensolver_labels(a: AffinityMatrix, cfg: SpectralConfig, graph: str) -> L
     k-means over the embedded rows, kmeans++ seeding, KMEANS_RESTARTS
     restarts, lowest inertia kept.
     """
-    vectors = _bottom_eigenvectors(normalized_laplacian(a), cfg.n_clusters, graph)
+    vectors = _bottom_eigenvectors(normalized_laplacian(a), n_clusters, graph)
     norms = np.linalg.norm(vectors, axis=1)
     embedding = np.divide(
         vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0
     )
-    assignments = _kmeans(
-        embedding, cfg.n_clusters, KMEANS_RESTARTS, KMEANS_MAX_ITERS, cfg.rng_seed
-    )
-    return Labels(assignments, cfg.n_clusters)
+    assignments = _kmeans(embedding, n_clusters, KMEANS_RESTARTS, KMEANS_MAX_ITERS, rng_seed)
+    return Labels(assignments, n_clusters)
 
 
-def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
-    """Segment the affinity graph into cfg.n_clusters groups.
+def spectral_cluster(a: AffinityMatrix, n_clusters: int, rng_seed: int = 0) -> Labels:
+    """Segment the affinity graph into ``n_clusters`` groups, an integer of
+    at least 2 and at most the point count.
 
     Components first: one ``connected_components`` pass. When the graph has
     exactly n_clusters components and no isolated vertex, the components are
@@ -277,18 +264,19 @@ def spectral_cluster(a: AffinityMatrix, cfg: SpectralConfig) -> Labels:
     would put each component on one unit vector and its k-means could only
     return the same partition. Any other graph, including one with an
     isolated vertex (its own component, with L_ii = 1 and no eigenvalue 0),
-    goes to _eigensolver_labels. Deterministic under cfg.rng_seed.
+    goes to _eigensolver_labels. Deterministic under ``rng_seed``, an
+    integer of at least 0 that seeds the k-means restarts.
     """
-    if cfg.n_clusters > a.n:
-        raise ValueError(
-            f"cannot split {a.n} points into {cfg.n_clusters} clusters"
-        )
-    # scipy numbers components in order of their lowest vertex; with a zero
+    check_integer(n_clusters, "n_clusters", 2)
+    check_integer(rng_seed, "rng_seed", 0)
+    if n_clusters > a.n:
+        raise ValueError(f"cannot split {a.n} points into {n_clusters} clusters")
+    # scipy labels components in order of their lowest vertex; with a zero
     # diagonal, a component of one vertex is exactly a vertex of degree 0
     count, components = connected_components(a.values, directed=False)
     isolated = int((np.bincount(components) == 1).sum())
     graph = f"components={count} isolated={isolated}"
-    if count == cfg.n_clusters and not isolated:
-        logger.debug("eigensolver components: n=%d k=%d %s", a.n, cfg.n_clusters, graph)
+    if count == n_clusters and not isolated:
+        logger.debug("eigensolver components: n=%d k=%d %s", a.n, n_clusters, graph)
         return Labels(components, count)
-    return _eigensolver_labels(a, cfg, graph)
+    return _eigensolver_labels(a, n_clusters, rng_seed, graph)

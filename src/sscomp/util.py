@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+
+def check_integer(value, name: str, low: int) -> None:
+    """The one owner of the integer-argument rule: ``value`` must be an
+    integer (any ``numbers.Integral``, numpy's included, but not a ``bool``)
+    of at least ``low``; ``name`` names the argument in the error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def round_half_away_from_zero(value):

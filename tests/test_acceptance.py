@@ -32,7 +32,7 @@ from sscomp.experiment import (
     run_trials,
 )
 from sscomp.metrics import accuracy, sea_ratio, subspace_preserving_error, subspace_preserving_rate
-from sscomp.omp import CoefMatrix, OmpConfig, omp_solve, ssc_omp, ssc_omp_adaptive
+from sscomp.omp import CoefMatrix, omp_solve, ssc_omp, ssc_omp_adaptive
 from sscomp.util import round_half_away_from_zero
 
 
@@ -99,7 +99,7 @@ def test_criterion_02_omp_exact_recovery():
         chosen = rng.choice(dim, size=m, replace=False)
         weights = rng.uniform(0.1, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
         target = q[:, chosen] @ weights
-        coefs = omp_solve(d, target, OmpConfig(max_atoms=m, residual_threshold=1e-12))
+        coefs = omp_solve(d, target, m, 1e-12)
         assert sorted(np.flatnonzero(coefs).tolist()) == sorted(chosen.tolist())
         residual = float(np.linalg.norm(q @ coefs - target))
         worst = max(worst, residual)

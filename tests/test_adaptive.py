@@ -121,7 +121,8 @@ class TestNeighborhoodScores:
         neighborhood_scores(x, 7)
         for score in (neighborhood_scores, compute_k_array):
             for k in (2.5, 3.0):
-                with pytest.raises(ValueError, match=f"an integer of at least 2 .*got {k}"):
+                with pytest.raises(ValueError,
+                                   match=f"k must be an integer of at least 2, got {k}"):
                     score(x, k)
 
     def test_requires_unit_columns(self):

@@ -259,15 +259,15 @@ class TestSynthetic:
             SyntheticSpec(2, 5, 5, 4, rng_seed=0)
         with pytest.raises(ValueError, match="must not exceed ambient"):
             SyntheticSpec(4, 3, 10, 4, rng_seed=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="n_subspaces must be an integer of at least 1, got 0"):
             SyntheticSpec(0, 2, 10, 4, rng_seed=0)
         # fractional sizes and seeds would only fail later, inside numpy
         for args, name in (((3.5, 2, 12, 8), "n_subspaces"), ((3, 2.5, 12, 8), "subspace_dim"),
                            ((3, 2, 12.0, 8), "ambient_dim"),
                            ((3, 2, 12, 8.5), "points_per_subspace")):
-            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
                 SyntheticSpec(*args, rng_seed=0)
-        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="rng_seed must be an integer of at least 0"):
             SyntheticSpec(3, 2, 12, 8, rng_seed=0.5)
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestRunTrial:
         assert report.accr == 100.0
         assert report.params["method"] == "adaptive-omp"
 
+    @pytest.mark.parametrize("method", experiment.METHODS)
+    def test_budget_at_least_a_cluster_size_stops_on_eps(self, method, caplog):
+        # K=5 atoms allowed, but each 2-dim subspace holds 3 points: a point
+        # is spanned by its 2 cluster mates, so every pursuit stops on eps
+        # after 2 atoms and none crosses a cluster
+        cfg = ExperimentConfig(SyntheticSpec(3, 2, 12, 3, rng_seed=0), n_clusters=3, k=5,
+                               method=method)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        report = run_trial(cfg)
+        assert "self-expression: 9 points, nnz 18, stops eps=9 budget=0 zero_correlation=0 " \
+               "rank=0" in caplog.messages
+        assert report.perc == 100.0
+        assert report.accr == 100.0
+
 
 class TestRunTrials:
     def test_serial_count_and_order(self):
@@ -301,10 +316,11 @@ class TestWorkerCount:
         assert len(run_trials(small_config(trials=2))) == 2
 
     def test_invalid_values(self):
-        with pytest.raises(ValueError, match="worker count must be positive"):
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1, got 0"):
             run_trials(small_config(), workers=0)
         for workers in (1.5, 2.0, "2"):
-            with pytest.raises(ValueError, match=f"must be positive.*got {workers!r}"):
+            with pytest.raises(ValueError, match=f"workers must be an integer of at least 1, "
+                                                 f"got {workers!r}"):
                 run_trials(small_config(trials=2), workers=workers)
 
 

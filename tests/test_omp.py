@@ -14,7 +14,6 @@ from sscomp.omp import (
     BLOCK,
     STOPS,
     CoefMatrix,
-    OmpConfig,
     _pursue,
     omp_solve,
     ssc_omp,
@@ -73,18 +72,6 @@ def orthonormal_dictionary(dim: int, n_atoms: int, seed: int = 0) -> DataMatrix:
     return DataMatrix(q)
 
 
-class TestOmpConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OmpConfig(max_atoms=0)
-        with pytest.raises(ValueError):
-            OmpConfig(max_atoms=2.5)
-        for bad in (-1e-9, np.nan, np.inf):
-            with pytest.raises(ValueError, match="residual_threshold must be a finite number"):
-                OmpConfig(max_atoms=2, residual_threshold=bad)
-        OmpConfig(max_atoms=1, residual_threshold=0.0)
-
-
 class TestCoefMatrix:
     def test_zero_diagonal_enforced(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -121,9 +108,20 @@ class TestCoefMatrix:
 
 
 class TestOmpSolve:
+    def test_argument_validation(self, unit_matrix):
+        d = unit_matrix(5, 6, seed=8)
+        target = np.ones(5)
+        for k in (0, 2.5):
+            with pytest.raises(ValueError, match=f"k must be an integer of at least 1, got {k!r}"):
+                omp_solve(d, target, k)
+        for bad in (-1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be a finite number"):
+                omp_solve(d, target, 2, bad)
+        omp_solve(d, target, 1, 0.0)
+
     def test_exact_atom_match(self):
         d = orthonormal_dictionary(6, 5, seed=1)
-        coefs = omp_solve(d, d.values[:, 3], OmpConfig(max_atoms=4))
+        coefs = omp_solve(d, d.values[:, 3], 4)
         expected = np.zeros(5)
         expected[3] = 1.0
         np.testing.assert_allclose(coefs, expected, atol=1e-12)
@@ -131,7 +129,7 @@ class TestOmpSolve:
     def test_two_atom_orthonormal_combination(self):
         d = orthonormal_dictionary(8, 6, seed=2)
         target = 2.0 * d.values[:, 1] + 0.5 * d.values[:, 2]
-        coefs = omp_solve(d, target, OmpConfig(max_atoms=2))
+        coefs = omp_solve(d, target, 2)
         assert coefs[1] == pytest.approx(2.0, abs=1e-12)
         assert coefs[2] == pytest.approx(0.5, abs=1e-12)
         assert np.linalg.norm(d.values @ coefs - target) < 1e-12
@@ -139,7 +137,7 @@ class TestOmpSolve:
     def test_budget_one_returns_best_inner_product(self, unit_matrix):
         d = unit_matrix(7, 9, seed=3)
         target = np.random.default_rng(4).standard_normal(7)
-        coefs = omp_solve(d, target, OmpConfig(max_atoms=1, residual_threshold=0.0))
+        coefs = omp_solve(d, target, 1, 0.0)
         support = np.flatnonzero(coefs)
         assert support.size == 1
         j = int(support[0])
@@ -163,14 +161,14 @@ class TestOmpSolve:
         target = np.random.default_rng(7).standard_normal(12)
         norms = []
         for budget in range(1, 9):
-            coefs = omp_solve(d, target, OmpConfig(budget, 0.0))
+            coefs = omp_solve(d, target, budget, 0.0)
             norms.append(np.linalg.norm(d.values @ coefs - target))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_dimension_mismatch(self, unit_matrix):
         d = unit_matrix(5, 6)
         with pytest.raises(ValueError, match="dimension"):
-            omp_solve(d, np.ones(4), OmpConfig(2))
+            omp_solve(d, np.ones(4), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, unit_matrix, bad):
@@ -178,11 +176,11 @@ class TestOmpSolve:
         target = np.ones(5)
         target[2] = bad
         with pytest.raises(ValueError, match="target contains non-finite"):
-            omp_solve(d, target, OmpConfig(3))
+            omp_solve(d, target, 3)
 
     def test_requires_unit_dictionary(self):
         with pytest.raises(ValueError, match="unit-normalized"):
-            omp_solve(DataMatrix(np.eye(3) * 2), np.ones(3), OmpConfig(1))
+            omp_solve(DataMatrix(np.eye(3) * 2), np.ones(3), 1)
 
     @pytest.mark.parametrize("scale", [1.0, 1 + 1e-12])
     def test_plain_unit_dictionary_accepted(self, scale):
@@ -190,7 +188,7 @@ class TestOmpSolve:
         # deviation from unit norm passes
         values = np.eye(3)
         values[2, 2] = scale
-        coefs = omp_solve(DataMatrix(values), np.array([1.0, 2.0, 0.0]), OmpConfig(2))
+        coefs = omp_solve(DataMatrix(values), np.array([1.0, 2.0, 0.0]), 2)
         np.testing.assert_allclose(coefs, [1.0, 2.0, 0.0], atol=1e-12)
 
     def test_off_unit_column_named(self):
@@ -198,11 +196,11 @@ class TestOmpSolve:
         values[2, 2] = 1 + 1e-6
         with pytest.raises(ValueError, match=r"dictionary must be unit-normalized: the norm "
                                              r"of column 2 deviates from 1 by \+1\.000e-06"):
-            omp_solve(DataMatrix(values), np.ones(3), OmpConfig(1))
+            omp_solve(DataMatrix(values), np.ones(3), 1)
 
     def test_zero_target_selects_nothing(self, unit_matrix):
         d = unit_matrix(5, 6, seed=8)
-        coefs = omp_solve(d, np.zeros(5), OmpConfig(3))
+        coefs = omp_solve(d, np.zeros(5), 3)
         assert not coefs.any()
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
@@ -212,15 +210,15 @@ class TestOmpSolve:
         d = unit_matrix(10, 16, seed=21)
         target = np.random.default_rng(22).standard_normal(10)
         for k, eps in ((3, 0.0), (6, 1e-6), (10, 0.5)):
-            expected = scale * omp_solve(d, target, OmpConfig(k, eps))
+            expected = scale * omp_solve(d, target, k, eps)
             np.testing.assert_allclose(
-                omp_solve(d, scale * target, OmpConfig(k, scale * eps)), expected,
+                omp_solve(d, scale * target, k, scale * eps), expected,
                 rtol=1e-12, atol=0)
 
     def test_target_norm_overflow_rejected(self, unit_matrix):
         d = unit_matrix(3, 4, seed=23)
         with pytest.raises(ValueError, match="target norm is not finite in float64"):
-            omp_solve(d, np.full(3, 1.5e308), OmpConfig(2))
+            omp_solve(d, np.full(3, 1.5e308), 2)
 
     def test_orthonormal_exact_recovery(self):
         # combinations of m atoms of an orthonormal dictionary come back
@@ -233,7 +231,7 @@ class TestOmpSolve:
             chosen = rng.choice(dim, size=m, replace=False)
             weights = rng.standard_normal(m) + np.sign(rng.standard_normal(m))
             target = d.values[:, chosen] @ weights
-            coefs = omp_solve(d, target, OmpConfig(m, 1e-10))
+            coefs = omp_solve(d, target, m, 1e-10)
             assert np.linalg.norm(d.values @ coefs - target) < 1e-10
 
     def test_rank_deficient_set_stops_before_in_span_atom(self):

@@ -15,7 +15,6 @@ from sscomp.metrics import accuracy
 from sscomp.omp import CoefMatrix, ssc_omp
 from sscomp.spectral import (
     AffinityMatrix,
-    SpectralConfig,
     _eigensolver_labels,
     _kmeans,
     _kmeans_single,
@@ -35,15 +34,15 @@ def same_partition(first: np.ndarray, second: np.ndarray) -> bool:
     return len(pairs) == np.unique(first).size == np.unique(second).size
 
 
-def dense_reference_labels(a: AffinityMatrix, cfg: SpectralConfig) -> np.ndarray:
+def dense_reference_labels(a: AffinityMatrix, n_clusters: int, rng_seed: int) -> np.ndarray:
     """Cluster the bottom eigenvectors of a full dense eigendecomposition of
     the oracle Laplacian, embedded and seeded as spectral_cluster does."""
     lap = normalized_laplacian_reference(a.values.toarray())
-    vectors = np.linalg.eigh(lap)[1][:, :cfg.n_clusters]
+    vectors = np.linalg.eigh(lap)[1][:, :n_clusters]
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     embedding = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
-    return _kmeans(embedding, cfg.n_clusters, spectral.KMEANS_RESTARTS,
-                   spectral.KMEANS_MAX_ITERS, cfg.rng_seed)
+    return _kmeans(embedding, n_clusters, spectral.KMEANS_RESTARTS,
+                   spectral.KMEANS_MAX_ITERS, rng_seed)
 
 
 def solver_logs(caplog) -> list[str]:
@@ -186,18 +185,6 @@ class TestNormalizedLaplacian:
         assert np.array_equal(lap.toarray(), normalized_laplacian_reference(weights))
 
 
-class TestSpectralConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpectralConfig(n_clusters=1)
-        with pytest.raises(ValueError):
-            SpectralConfig(n_clusters=2, rng_seed=-1)
-        with pytest.raises(ValueError, match="n_clusters must be an integer"):
-            SpectralConfig(n_clusters=2.5)
-        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
-            SpectralConfig(n_clusters=2, rng_seed=0.5)
-
-
 def block_graph(sizes, seed: int) -> tuple[AffinityMatrix, np.ndarray]:
     """Disjoint weighted blocks, each connected (a random spanning tree plus
     random extra edges), with the vertices shuffled. Returns the affinity and
@@ -236,28 +223,27 @@ class TestSpectralCluster:
 
     def test_two_clean_blocks_split_exactly(self):
         a = self.block_affinity([4, 5])
-        labels = spectral_cluster(a, SpectralConfig(n_clusters=2, rng_seed=0))
+        labels = spectral_cluster(a, 2, 0)
         truth = Labels(np.array([0] * 4 + [1] * 5), 2)
         assert accuracy(labels, truth) == 100.0
 
     def test_five_blocks_recovered(self):
         a = self.block_affinity([6, 6, 6, 6, 6])
-        labels = spectral_cluster(a, SpectralConfig(n_clusters=5, rng_seed=3))
+        labels = spectral_cluster(a, 5, 3)
         truth = Labels(np.repeat(np.arange(5), 6), 5)
         assert accuracy(labels, truth) == 100.0
 
     def test_full_pipeline_on_orthogonal_subspaces(self, oracle_dataset):
         x, y = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
-        labels = spectral_cluster(a, SpectralConfig(n_clusters=5, rng_seed=1))
+        labels = spectral_cluster(a, 5, 1)
         assert accuracy(labels, y) == 100.0
 
     def test_deterministic_for_fixed_seed(self, oracle_dataset):
         x, _ = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
-        cfg = SpectralConfig(n_clusters=5, rng_seed=7)
-        first = spectral_cluster(a, cfg)
-        second = spectral_cluster(a, cfg)
+        first = spectral_cluster(a, 5, 7)
+        second = spectral_cluster(a, 5, 7)
         assert (first.assignments == second.assignments).all()
 
     def test_seed_changes_are_isolated(self, oracle_dataset):
@@ -266,13 +252,22 @@ class TestSpectralCluster:
         x, y = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
         for seed in (0, 1, 2):
-            labels = spectral_cluster(a, SpectralConfig(n_clusters=5, rng_seed=seed))
+            labels = spectral_cluster(a, 5, seed)
             assert accuracy(labels, y) == 100.0
+
+    def test_argument_validation(self):
+        a = self.block_affinity([4, 5])
+        for args, message in (((1,), "n_clusters must be an integer of at least 2, got 1"),
+                              ((2, -1), "rng_seed must be an integer of at least 0, got -1"),
+                              ((2.5,), "n_clusters must be an integer of at least 2, got 2.5"),
+                              ((2, 0.5), "rng_seed must be an integer of at least 0, got 0.5")):
+            with pytest.raises(ValueError, match=message):
+                spectral_cluster(a, *args)
 
     def test_more_clusters_than_points_rejected(self):
         a = self.block_affinity([2, 2])
         with pytest.raises(ValueError, match="clusters"):
-            spectral_cluster(a, SpectralConfig(n_clusters=5))
+            spectral_cluster(a, 5)
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["k-components", "connected"])
     def test_lobpcg_matches_dense_reference(self, noisy, caplog):
@@ -283,15 +278,14 @@ class TestSpectralCluster:
             x = add_gaussian_noise(x, 0.5, 0.05, rng_seed=4)
         a = build_affinity(ssc_omp(x, 8, 1e-6))
         assert connected_components(a.values)[0] == (1 if noisy else 5)
-        cfg = SpectralConfig(n_clusters=5, rng_seed=2)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         if noisy:
-            labels = spectral_cluster(a, cfg)
+            labels = spectral_cluster(a, 5, 2)
         else:  # spectral_cluster would label this graph by its components
-            labels = _eigensolver_labels(a, cfg, "components=5 isolated=0")
+            labels = _eigensolver_labels(a, 5, 2, "components=5 isolated=0")
         assert solver_logs(caplog)[-1].startswith("eigensolver lobpcg:")
         assert f"components={1 if noisy else 5} isolated=0 " in solver_logs(caplog)[-1]
-        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 5, 2))
 
     @pytest.mark.parametrize("failure", ["unconverged", "linalg-error"])
     def test_failed_lobpcg_falls_back_to_dense(self, failure, monkeypatch, caplog):
@@ -305,8 +299,7 @@ class TestSpectralCluster:
         caplog.set_level(logging.DEBUG, logger="sscomp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = _eigensolver_labels(self.block_affinity([6] * 5),
-                                         SpectralConfig(n_clusters=5, rng_seed=3),
+            labels = _eigensolver_labels(self.block_affinity([6] * 5), 5, 3,
                                          "components=5 isolated=0")
         logs = solver_logs(caplog)
         assert logs[0].startswith("lobpcg rejected:")
@@ -323,8 +316,8 @@ class TestSpectralCluster:
         a = self.block_affinity(sizes)
         component = np.repeat(np.arange(len(sizes)), sizes)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        first = spectral_cluster(a, SpectralConfig(n_clusters=k)).assignments
-        second = spectral_cluster(a, SpectralConfig(n_clusters=k)).assignments
+        first = spectral_cluster(a, k).assignments
+        second = spectral_cluster(a, k).assignments
         assert solver_logs(caplog)[-1].startswith(f"eigensolver {path}:")
         assert np.array_equal(first, second)
         for c in range(len(sizes)):
@@ -333,10 +326,9 @@ class TestSpectralCluster:
     def test_logs_eigensolver_path_and_residual(self, oracle_dataset, caplog):
         x, _ = oracle_dataset
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), SpectralConfig(n_clusters=5),
+        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), 5, 0,
                             "components=5 isolated=0")
-        _eigensolver_labels(self.block_affinity([4, 5]), SpectralConfig(n_clusters=2),
-                            "components=2 isolated=0")
+        _eigensolver_labels(self.block_affinity([4, 5]), 2, 0, "components=2 isolated=0")
         logs = solver_logs(caplog)
         assert [line.split(":")[0] for line in logs] == [
             "eigensolver lobpcg", "eigensolver dense-small"]
@@ -348,12 +340,11 @@ class TestSpectralCluster:
         # the graph of test_lobpcg_matches_dense_reference[k-components]
         x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
         a = build_affinity(ssc_omp(x, 8, 1e-6))
-        cfg = SpectralConfig(n_clusters=5, rng_seed=2)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        labels = spectral_cluster(a, cfg)
+        labels = spectral_cluster(a, 5, 2)
         assert solver_logs(caplog) == [
             "eigensolver components: n=200 k=5 components=5 isolated=0"]
-        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 5, 2))
         assert np.array_equal(labels.assignments, connected_components(a.values)[1])
 
     @pytest.mark.parametrize("sizes, path", [
@@ -364,14 +355,13 @@ class TestSpectralCluster:
         # K components, but one is a vertex of degree 0: no eigenvalue 0
         # belongs to it, so the components rule does not hold
         a = self.block_affinity(sizes)
-        cfg = SpectralConfig(n_clusters=4, rng_seed=1)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        labels = spectral_cluster(a, cfg)
+        labels = spectral_cluster(a, 4, 1)
         logs = solver_logs(caplog)
         assert logs[-1].startswith(f"eigensolver {path}: n={sum(sizes)} k=4 "
                                    "components=4 isolated=1 max residual")
         assert not any(line.startswith("eigensolver components") for line in logs)
-        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 4, 1))
 
     @pytest.mark.parametrize("sizes, k, paths, counts", [
         ([3, 4, 5, 6, 7, 8, 9], 3, ["lobpcg rejected", "eigensolver dense-fallback"],
@@ -382,7 +372,7 @@ class TestSpectralCluster:
     def test_every_line_reports_the_graph(self, sizes, k, paths, counts, monkeypatch, caplog):
         monkeypatch.setattr(spectral, "RESIDUAL_TOL", -1.0)  # reject every LOBPCG run
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        spectral_cluster(self.block_affinity(sizes), SpectralConfig(n_clusters=k))
+        spectral_cluster(self.block_affinity(sizes), k)
         logs = solver_logs(caplog)
         assert [line.split(":")[0] for line in logs] == paths
         for line in logs:
@@ -392,10 +382,10 @@ class TestSpectralCluster:
     @given(sizes=st.lists(st.integers(2, 8), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
     def test_block_graphs_labeled_by_their_blocks(self, sizes, seed):
         a, blocks = block_graph(sizes, seed)
-        cfg = SpectralConfig(n_clusters=len(sizes), rng_seed=seed % 7)
-        labels = spectral_cluster(a, cfg)
+        k, rng_seed = len(sizes), seed % 7
+        labels = spectral_cluster(a, k, rng_seed)
         assert np.array_equal(labels.assignments, blocks)
-        assert same_partition(labels.assignments, dense_reference_labels(a, cfg))
+        assert same_partition(labels.assignments, dense_reference_labels(a, k, rng_seed))
 
 
 class TestKmeansInternals:

@@ -1,10 +1,71 @@
+import dataclasses
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from oracles import round_half_away
 
+from sscomp import (
+    AffinityMatrix,
+    DataMatrix,
+    ExperimentConfig,
+    KArray,
+    Labels,
+    NeighborhoodScore,
+    SyntheticSpec,
+    neighborhood_scores,
+    normalize_columns,
+    omp_solve,
+    run_trials,
+    spectral_cluster,
+)
 from sscomp.util import round_half_away_from_zero
+
+POINTS = normalize_columns(DataMatrix(np.random.default_rng(0).standard_normal((4, 8))))
+# three 2-point components, which spectral_cluster labels without an eigensolve
+PAIRS = AffinityMatrix(sparse.csr_array(np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]])))
+# 1-dim subspaces, so each size set to 3 (ambient_dim too) still makes a valid spec
+SPEC = SyntheticSpec(3, 1, 12, 8, 0)
+CONFIG = ExperimentConfig(SPEC, n_clusters=3, k=3)
+
+
+def replacing(record, name):
+    return lambda value: dataclasses.replace(record, **{name: value})
+
+
+# every integer argument of the package: (call with the value, name, low)
+INTEGER_ARGUMENTS = {
+    "KArray.base_k": (lambda v: KArray(np.full(24, 2), v), "base_k", 1),
+    "neighborhood_scores.k": (lambda v: neighborhood_scores(POINTS, v), "k", 2),
+    "NeighborhoodScore.base_k": (lambda v: NeighborhoodScore(np.array([0.5]), 1.0, 0.0,
+                                                             np.array([0.1]), v), "base_k", 2),
+    **{f"SyntheticSpec.{name}": (replacing(SPEC, name), name, low) for name, low in (
+        ("n_subspaces", 1), ("subspace_dim", 1), ("ambient_dim", 1),
+        ("points_per_subspace", 1), ("rng_seed", 0))},
+    **{f"ExperimentConfig.{name}": (replacing(CONFIG, name), name, low) for name, low in (
+        ("n_clusters", 2), ("k", 1), ("trials", 1), ("samples_per_cluster", 1), ("seed", 0))},
+    "run_trials.workers": (lambda v: run_trials(CONFIG, workers=v), "workers", 1),
+    "Labels.n_clusters": (lambda v: Labels([0, 1, 2], v), "n_clusters", 1),
+    "omp_solve.k": (lambda v: omp_solve(POINTS, np.ones(4), v), "k", 1),
+    "spectral_cluster.n_clusters": (lambda v: spectral_cluster(PAIRS, v), "n_clusters", 2),
+    "spectral_cluster.rng_seed": (lambda v: spectral_cluster(PAIRS, 3, v), "rng_seed", 0),
+}
+
+
+@pytest.mark.parametrize("call, name, low", INTEGER_ARGUMENTS.values(),
+                         ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_share_one_rule(call, name, low):
+    # a bool, a fraction and a whole float are all refused with one message;
+    # True would otherwise pass as 1 and 3.0 as 3
+    for value in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer of at least {low}, got {value!r}")):
+            call(value)
+    call(np.int64(3))
 
 
 def test_halves_go_away_from_zero():
