@@ -33,12 +33,15 @@ __all__ = [
 ]
 
 MIN_COLUMN_NORM = 1e-12
+# entries per block of columns whose squares are summed at once for the norms
+NORM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class DataMatrix:
     """Column-major collection of N points in ambient dimension ``dim``:
-    a finite ``dim x N`` float64 array with N >= 3.
+    a finite ``dim x N`` float64 array with N >= 3, stored in Fortran order
+    so that each point is one contiguous column.
 
     The underlying array is copied and frozen at construction; every
     operation in this package returns a new matrix instead of mutating.
@@ -49,20 +52,9 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"data must be a 2-d array, got ndim={values.ndim}")
-        dim, n = values.shape
-        if dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if n < 3:
-            raise ValueError(
-                f"need at least 3 points for self-expression, got N={n}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("data contains non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(
+            self, "values", _frozen(np.array(self.values, dtype=np.float64, order="F"))
+        )
 
     @property
     def dim(self) -> int:
@@ -71,6 +63,30 @@ class DataMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """Check a float64 array as DataMatrix values and make it read-only."""
+    if values.ndim != 2:
+        raise ValueError(f"data must be a 2-d array, got ndim={values.ndim}")
+    dim, n = values.shape
+    if dim < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    if n < 3:
+        raise ValueError(f"need at least 3 points for self-expression, got N={n}")
+    if not np.isfinite(values).all():
+        raise ValueError("data contains non-finite values")
+    values.flags.writeable = False
+    return values
+
+
+def _owned(values: np.ndarray) -> DataMatrix:
+    """A DataMatrix around ``values``, a float64 array that the caller made
+    and gives up: checked and frozen in place, copied only when it is not
+    already in Fortran order."""
+    x = object.__new__(DataMatrix)
+    object.__setattr__(x, "values", _frozen(np.asfortranarray(values)))
+    return x
 
 
 @dataclass(frozen=True)
@@ -216,7 +232,7 @@ def load_csv(path, has_labels: bool = False):
 
     if rows.shape[0] < 3:
         raise ValueError(f"{path}: need at least 3 points, got {rows.shape[0]}")
-    return DataMatrix(rows.T), labels
+    return _owned(rows.T), labels
 
 
 def save_csv(x: DataMatrix, path, labels: Labels | None = None) -> None:
@@ -278,16 +294,35 @@ def load_labels(path) -> Labels:
     return _integer_labels(raw, lambda i: f"{path}: label {i}")
 
 
-def normalize_columns(x: DataMatrix) -> DataMatrix:
-    """Rescale every column to unit Euclidean norm, preserving direction.
-    A column with norm below ``MIN_COLUMN_NORM`` is rejected."""
-    norms = np.linalg.norm(x.values, axis=0)
+def _normalized(values: np.ndarray) -> DataMatrix:
+    """Rescale every column of ``values`` to unit Euclidean norm in place,
+    then wrap it as :func:`_owned` does. A column with norm below
+    ``MIN_COLUMN_NORM`` is rejected.
+
+    The norms are summed as ``np.linalg.norm(values, axis=0)`` sums them for
+    the array's layout, but a block of columns at a time, so no full-size
+    temporary is made.
+    """
+    dim, n = values.shape
+    step = max(1, NORM_BLOCK // dim)
+    norms = np.empty(n)
+    for start in range(0, n, step):
+        block = values[:, start : start + step]
+        np.add.reduce(block * block, axis=0, out=norms[start : start + step])
+    np.sqrt(norms, out=norms)
     tiny = np.flatnonzero(norms < MIN_COLUMN_NORM)
     if tiny.size:
         raise ValueError(
             f"column {int(tiny[0])} has norm {norms[tiny[0]]:.3e}, too close to zero to normalize"
         )
-    return DataMatrix(x.values / norms)
+    values /= norms
+    return _owned(values)
+
+
+def normalize_columns(x: DataMatrix) -> DataMatrix:
+    """Rescale every column to unit Euclidean norm, preserving direction.
+    A column with norm below ``MIN_COLUMN_NORM`` is rejected."""
+    return _normalized(x.values.copy(order="F"))
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -312,25 +347,26 @@ def generate_synthetic(spec: SyntheticSpec):
     blocks = [
         basis @ rng.standard_normal((d, spec.points_per_subspace)) for basis in bases
     ]
-    values = np.hstack(blocks)
     labels = Labels(np.repeat(np.arange(s), spec.points_per_subspace), s)
-    return normalize_columns(DataMatrix(values)), labels
+    # normalized while still row-major, where each norm is summed row by
+    # row: that sum fixes the bytes of every CSV `sscomp synth` writes
+    return _normalized(np.hstack(blocks)), labels
 
 
 def _check_noise_args(sigma: float, variance: float) -> None:
-    if not 0.0 <= sigma <= 1.0:
+    if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma <= 1.0:
         raise ValueError(f"noise rate sigma must be in [0, 1], got {sigma}")
-    if not 0.0 < variance < math.inf:
+    if isinstance(variance, (bool, np.bool_)) or not 0.0 < variance < math.inf:
         raise ValueError(f"noise variance must be positive and finite, got {variance}")
 
 
 def _perturbed_values(x: DataMatrix, sigma: float, variance: float, rng):
     """Raw corruption step: pick round(sigma*N) columns and add N(0, variance)
-    noise per coordinate. Returns the perturbed (un-normalized) values plus
-    the chosen column indices."""
+    noise per coordinate. Returns the perturbed (un-normalized) values, a
+    new column-major copy, plus the chosen column indices."""
     count = min(round_half_away_from_zero(sigma * x.n), x.n)
     picked = rng.choice(x.n, size=count, replace=False)
-    out = x.values.copy()
+    out = x.values.copy(order="F")
     if count:
         out[:, picked] += rng.normal(0.0, math.sqrt(variance), size=(x.dim, count))
     return out, picked
@@ -343,12 +379,14 @@ def add_gaussian_noise(
 
     Noise (zero mean, ``variance`` per coordinate) is added to the raw
     columns, then the whole matrix is re-normalized to unit columns. With
-    ``sigma=0`` the result equals ``normalize_columns(x)`` exactly.
+    ``sigma=0`` the result equals ``normalize_columns(x)`` exactly. ``x`` is
+    left as it was; the result is one new copy, corrupted and normalized in
+    place.
     """
     _check_noise_args(sigma, variance)
     rng = np.random.default_rng(rng_seed)
     perturbed, _ = _perturbed_values(x, sigma, variance, rng)
-    return normalize_columns(DataMatrix(perturbed))
+    return _normalized(perturbed)
 
 
 def blend_gaussian_noise(
@@ -361,4 +399,7 @@ def blend_gaussian_noise(
     if sigma == 0.0:
         return normalize_columns(x)
     noise = rng.normal(0.0, math.sqrt(variance), size=x.values.shape)
-    return normalize_columns(DataMatrix((1.0 - sigma) * x.values + sigma * noise))
+    noise *= sigma
+    values = np.multiply(x.values, 1.0 - sigma, order="F")
+    values += noise
+    return _normalized(values)

@@ -27,6 +27,7 @@ from .data import (
     Labels,
     SyntheticSpec,
     _check_noise_args,
+    _owned,
     add_gaussian_noise,
     blend_gaussian_noise,
     generate_synthetic,
@@ -230,7 +231,9 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         x_full, y_full = data if data is not None else load_dataset(cfg)
         sub_seed, noise_seed, kmeans_seed = _trial_seeds(cfg.seed, trial)
         indices, truth = _subsample(x_full, y_full, cfg, np.random.default_rng(sub_seed))
-        x = DataMatrix(x_full.values[:, indices])
+        # one full-size copy: the corrupt or normalize step's own. The gather
+        # is a second one, made only when the subsample leaves points out.
+        x = x_full if indices.size == x_full.n else _owned(x_full.values[:, indices])
         if cfg.noise_sigma > 0.0:
             corrupt = add_gaussian_noise if cfg.noise_mode == "corrupt" else blend_gaussian_noise
             x = corrupt(x, cfg.noise_sigma, cfg.noise_variance, rng_seed=noise_seed)

@@ -81,13 +81,14 @@ logger = logging.getLogger("sscomp")
 
 
 def check_eps(eps: float) -> None:
-    """Reject a residual threshold that is negative, nan or infinite.
+    """Reject a residual threshold that is a ``bool``, negative, nan or
+    infinite.
 
     eps = 0 is valid and runs each pursuit to its budget. The loop tracks
     the squared residual with ~1e-16 absolute rounding, so any eps below
     ~1e-8 |target| acts as 0.
     """
-    if not 0.0 <= eps < np.inf:
+    if isinstance(eps, (bool, np.bool_)) or not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestSynthAndNoise:
 
         x, y = load_csv(out_path, has_labels=True)
         assert x.n == 24 and y.n_clusters == 3
+
+    # sha1 of CSVs that `sscomp synth` writes; they are the benchmark's
+    # inputs, so a change of the data layout or of how the norms are summed
+    # must not move these bytes
+    @pytest.mark.parametrize("sha1, shape", [
+        ("94111ede11354b68aa208b5d6dedb3334600ec57", "3 2 12 8 1"),
+        ("53ae3da119980550bfcea8273dbb3c6e915d4155", "3 2 12 8 1 --random-bases"),
+        ("729f08a14223b08c23fb6921bd5502a71d7d6171", "5 5 50 12 2 --random-bases"),
+        ("738f331104d1d7b7ccd2bb3f9ae512ebe10817d4", "2 3 2016 20 3"),
+        ("3b91298a2f176efbfbd085ff79b8916d8cb42b58", "2 3 2016 20 3 --random-bases"),
+    ])
+    def test_synth_bytes_are_pinned(self, capsys, tmp_path, sha1, shape):
+        s, d, ambient, points, seed, *bases = shape.split()
+        out_path = tmp_path / "made.csv"
+        code, _, _ = run(capsys, "synth", "--subspaces", s, "--dim", d, "--ambient", ambient,
+                         "--points", points, "--seed", seed, *bases, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha1(out_path.read_bytes()).hexdigest() == sha1
 
     def test_synth_npz_no_labels(self, capsys, tmp_path):
         out_path = tmp_path / "made.npz"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ class TestDataMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-d"):
             DataMatrix(np.ones(6))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_values_are_column_major_and_the_input_stays_as_it_was(self, layout):
+        raw = np.arange(120.0).reshape(10, 12)
+        if layout == "F":
+            raw = np.asfortranarray(raw)
+        elif layout == "strided":
+            raw = raw[::2, ::3]
+        before = raw.copy()
+        x = DataMatrix(raw)
+        assert x.values.flags.f_contiguous
+        assert np.array_equal(x.values, before)
+        assert np.array_equal(raw, before) and raw.flags.writeable
+        assert not np.shares_memory(x.values, raw)
 
 
 class TestLabels:
@@ -218,6 +233,13 @@ class TestNormalize:
         out = normalize_columns(x)
         np.testing.assert_allclose(out.values[:, 0], [0.6, 0.8])
 
+    def test_norms_summed_as_linalg_norm_sums_them(self):
+        # the norms are summed a block of columns at a time; each column must
+        # still get the sum np.linalg.norm gives it, to the last bit
+        x = DataMatrix(np.random.default_rng(14).standard_normal((2016, 100)))
+        expected = x.values / np.linalg.norm(x.values, axis=0)
+        assert np.array_equal(normalize_columns(x).values, expected)
+
     def test_zero_column_rejected(self):
         x = DataMatrix(np.array([[1.0, 0, 1], [0, 0, 1]]))
         with pytest.raises(ValueError, match="column 1"):
@@ -342,6 +364,32 @@ class TestNoise:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="variance must be positive and finite"):
                 blend_gaussian_noise(x, 0.5, variance=bad)
+
+    @pytest.mark.parametrize("prep, args", [(add_gaussian_noise, (0.5,)),
+                                            (blend_gaussian_noise, (0.5,)),
+                                            (normalize_columns, ())])
+    def test_preps_leave_their_input_and_return_column_major(self, prep, args):
+        x = DataMatrix(np.random.default_rng(12).standard_normal((6, 10)))
+        before = x.values.copy()
+        out = prep(x, *args)
+        assert np.array_equal(x.values, before) and not x.values.flags.writeable
+        assert out.values.flags.f_contiguous and not out.values.flags.writeable
+        assert not np.shares_memory(out.values, x.values)
+
+    # one copy, corrupted and normalized in place: with the noise block and
+    # the scatter's temporary (half the columns each) corruption stays under
+    # 2.5x the matrix, and normalizing holds the copy and one block of squares
+    @pytest.mark.parametrize("prep, args, bound", [(add_gaussian_noise, (0.5,), 2.5),
+                                                   (normalize_columns, (), 1.5)])
+    def test_prep_peak_memory(self, prep, args, bound):
+        x = DataMatrix(np.random.default_rng(13).standard_normal((2016, 640)))
+        tracemalloc.start()
+        try:
+            prep(x, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x.values.nbytes
 
     def test_blend_changes_every_column(self):
         rng = np.random.default_rng(11)

@@ -17,11 +17,14 @@ from sscomp import (
     Labels,
     NeighborhoodScore,
     SyntheticSpec,
+    add_gaussian_noise,
+    blend_gaussian_noise,
     neighborhood_scores,
     normalize_columns,
     omp_solve,
     run_trials,
     spectral_cluster,
+    ssc_omp,
 )
 from sscomp.util import round_half_away_from_zero
 
@@ -66,6 +69,33 @@ def test_integer_arguments_share_one_rule(call, name, low):
                 f"{name} must be an integer of at least {low}, got {value!r}")):
             call(value)
     call(np.int64(3))
+
+
+EPS = "eps must be a finite number >= 0, got {!r}"
+SIGMA = "noise rate sigma must be in [0, 1], got {}"
+VARIANCE = "noise variance must be positive and finite, got {}"
+
+# every float argument with a range check: (call with the value, message)
+FLOAT_ARGUMENTS = {
+    "ExperimentConfig.eps": (replacing(CONFIG, "eps"), EPS),
+    "ExperimentConfig.noise_sigma": (replacing(CONFIG, "noise_sigma"), SIGMA),
+    "ExperimentConfig.noise_variance": (replacing(CONFIG, "noise_variance"), VARIANCE),
+    "add_gaussian_noise.sigma": (lambda v: add_gaussian_noise(POINTS, v), SIGMA),
+    "add_gaussian_noise.variance": (lambda v: add_gaussian_noise(POINTS, 0.5, v), VARIANCE),
+    "blend_gaussian_noise.sigma": (lambda v: blend_gaussian_noise(POINTS, v), SIGMA),
+    "blend_gaussian_noise.variance": (lambda v: blend_gaussian_noise(POINTS, 0.5, v), VARIANCE),
+    "omp_solve.eps": (lambda v: omp_solve(POINTS, np.ones(4), 2, v), EPS),
+    "ssc_omp.eps": (lambda v: ssc_omp(POINTS, 2, v), EPS),
+}
+
+
+@pytest.mark.parametrize("call, message", FLOAT_ARGUMENTS.values(), ids=FLOAT_ARGUMENTS.keys())
+def test_float_arguments_refuse_a_bool(call, message):
+    # True would otherwise pass as 1.0 and be written into a trial's params
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=re.escape(message.format(value))):
+            call(value)
+    call(0.5)
 
 
 def test_halves_go_away_from_zero():
