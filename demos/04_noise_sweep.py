@@ -40,7 +40,7 @@ for row in rows:
           f"{row['ssr']:>8} {row['time']:>9}")
 
 # pair the two methods row by row and diff them
-deltas = compare(rows, rows)
+deltas = compare(rows)
 write_comparison_csv(deltas, out / "comparison.csv")
 
 print()

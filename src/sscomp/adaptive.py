@@ -129,9 +129,9 @@ def check_unit_norms(squared_norms: np.ndarray, what: str) -> None:
 @dataclass(frozen=True)
 class Gram:
     """X^T X of unit-norm columns, trusted: a read-only N x N float64 array
-    that is finite and has a unit diagonal. Only :func:`gram_matrix` and
-    :func:`checked_gram` make one, and the checks are theirs; every consumer
-    takes a Gram through :func:`checked_gram`."""
+    that is finite and has a unit diagonal. Only :func:`gram_matrix` makes
+    one, and the checks are its own; every consumer takes a Gram through
+    :func:`checked_gram` and reads it only through :meth:`rows`."""
 
     values: np.ndarray
 
@@ -164,31 +164,22 @@ def gram_matrix(x: DataMatrix) -> Gram:
     return Gram(g)
 
 
-def checked_gram(x: DataMatrix, gram: Gram | np.ndarray | None) -> Gram:
+def checked_gram(x: DataMatrix, gram: Gram | None) -> Gram:
     """The Gram of ``x``, the one place that decides whether a Gram is
-    trusted: :func:`gram_matrix` when ``gram`` is None; a :class:`Gram` as
-    the same object, once it is N x N; any other array as float64, which
-    must be N x N, have a unit diagonal (see :func:`check_unit_norms`) and
-    be finite, in that order, and is then wrapped as a read-only view
-    without a copy. The finiteness check is one O(N^2) pass, the only scan
-    of a whole Gram in this package."""
+    trusted: :func:`gram_matrix` when ``gram`` is None, and a :class:`Gram`
+    as the same object once it is N x N. Any other type is refused, never
+    wrapped: a Gram comes only from :func:`gram_matrix`."""
     if gram is None:
         return gram_matrix(x)
-    values = gram.values if isinstance(gram, Gram) else np.asarray(gram, dtype=np.float64)
-    if values.shape != (x.n, x.n):
-        raise ValueError(f"gram must be {x.n} x {x.n}, got shape {values.shape}")
-    if isinstance(gram, Gram):
-        return gram
-    check_unit_norms(np.diagonal(values), "gram")
-    if not np.isfinite(values).all():
-        raise ValueError("gram contains non-finite values")
-    values = values.view()
-    values.flags.writeable = False
-    return Gram(values)
+    if not isinstance(gram, Gram):
+        raise TypeError(f"gram must be a Gram made by gram_matrix, got {type(gram).__name__}")
+    if gram.n != x.n:
+        raise ValueError(f"gram must be {x.n} x {x.n}, got {gram.n} x {gram.n}")
+    return gram
 
 
 def neighborhood_scores(
-    x: DataMatrix, k: int, gram: Gram | np.ndarray | None = None
+    x: DataMatrix, k: int, gram: Gram | None = None
 ) -> NeighborhoodScore:
     """Score each point by the mean similarity to its k-1 nearest neighbors.
 
@@ -199,27 +190,31 @@ def neighborhood_scores(
     undefined and all scores are pinned at the neutral midpoint k/2, which
     downstream yields uniform budgets.
 
-    A passed ``gram`` is checked by :func:`checked_gram`: a :class:`Gram`
-    must be N x N, any other array also finite with a unit diagonal, and
-    without one the data must have unit columns.
+    A passed ``gram`` must be a :class:`Gram` of N x N (see
+    :func:`checked_gram`); without one the data must have unit columns.
 
     Memory: besides the Gram (8 N^2 bytes, shared when passed in), the
     scoring holds the N x k top similarities and one block of
-    ``PARTITION_ROWS`` partitioned rows, so its own working set is
+    ``PARTITION_ROWS`` rows, gathered through :meth:`Gram.rows` and
+    partitioned in place, so its own working set is
     O(N (k + PARTITION_ROWS)) rather than a second N x N copy.
     """
     check_integer(k, "k", 2)  # k-1 neighbors are averaged
     if k > x.n - 1:
         raise ValueError(f"k must be at most N-1 = {x.n - 1}, got {k}")
-    g = checked_gram(x, gram).values
+    gram = checked_gram(x, gram)
     # only the k largest similarities per row matter; partitioning first
     # keeps this O(N^2) instead of a full N^2 log N sort, and sorting the
     # k-value slice yields bit-identical means to sorting whole rows. Rows
     # are independent, so partitioning them a block at a time changes no bit
     top = np.empty((x.n, k))
+    rows = np.empty((min(PARTITION_ROWS, x.n), x.n))
     for lo in range(0, x.n, PARTITION_ROWS):
-        block = g[lo:lo + PARTITION_ROWS]
-        top[lo:lo + PARTITION_ROWS] = np.partition(block, x.n - k, axis=1)[:, x.n - k:]
+        j = np.arange(lo, min(lo + PARTITION_ROWS, x.n))
+        block = rows[:j.size]
+        gram.rows(j, block)
+        block.partition(x.n - k, axis=1)
+        top[lo:lo + j.size] = block[:, x.n - k:]
     ranked = -np.sort(-top, axis=1)
     raw = ranked[:, 1:k].mean(axis=1)
     max_d = float(raw.max())
@@ -234,7 +229,7 @@ def neighborhood_scores(
 
 
 def compute_k_array(
-    x: DataMatrix, k: int, gram: Gram | np.ndarray | None = None
+    x: DataMatrix, k: int, gram: Gram | None = None
 ) -> KArray:
     """Turn neighborhood scores into integer budgets centered on k.
 

@@ -3,7 +3,7 @@
 Subcommands:
   cluster   run one configuration (possibly many trials) and report metrics
   sweep     vary one axis, running both methods paired, emitting CSV/JSON
-  compare   diff baseline vs adaptive aggregate rows
+  compare   diff the baseline and adaptive rows of one aggregate
   k-array   dump the per-point budgets for a dataset
   synth     write a synthetic union-of-subspaces dataset to disk
   noise     corrupt an existing dataset file
@@ -11,7 +11,6 @@ Subcommands:
 An argument @FILE is replaced by the lines of FILE, one argument per line
 (``--k=3``, or ``--k`` and ``3`` on two lines), so ``sscomp cluster @run.args
 --k 5`` parses the file's flags first and a later flag overrides them.
-Trials run on --workers processes (default 1, serial).
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def _cmd_cluster(args) -> int:
         reports = [report]
         save_labels(predicted, args.labels_out)
     else:
-        reports = run_trials(cfg, workers=args.workers)
+        reports = run_trials(cfg)
     mean = mean_metrics(reports)
     print(f"dataset: {dataset_id(cfg.dataset)}")
     print(f"method: {cfg.method}  trials: {cfg.trials}")
@@ -170,7 +169,7 @@ def _cmd_sweep(args) -> int:
     base = _experiment_config(args, method="omp")
     sweep = SweepSpec(axis=axis, values=values)
     out_dir = Path(args.out_dir)
-    rows = run_sweep(base, sweep, out_dir=out_dir, workers=args.workers)
+    rows = run_sweep(base, sweep, out_dir=out_dir)
     failures = [row for row in rows if row["error"]]
     for row in rows:
         tag = f"{axis}={row[SWEEP_AXES[axis][0]]} {row['method']}"
@@ -186,9 +185,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    baseline_rows = read_aggregate_csv(args.baseline)
-    adaptive_rows = read_aggregate_csv(args.adaptive or args.baseline)
-    rows = compare(baseline_rows, adaptive_rows)
+    rows = compare(read_aggregate_csv(args.aggregate))
     losses = [r for r in rows if r.get("adaptive_loses") == "yes"]
     for row in rows:
         key = f"n={row['n']} K={row['K']} samples={row['samples']} sigma={row['sigma']}"
@@ -293,8 +290,6 @@ def _add_run_args(p) -> None:
     p.add_argument("--noise-variance", type=float, default=0.01)
     p.add_argument("--noise-mode", choices=["corrupt", "blend"], default="corrupt")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="trial worker processes (default 1, serial)")
 
 
 def build_parser():
@@ -327,10 +322,7 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("compare", help="adaptive-minus-baseline deltas per row")
-    p.add_argument("baseline", help="aggregate CSV holding the omp rows")
-    p.add_argument("adaptive", nargs="?", default=None,
-                   help="aggregate CSV holding the adaptive-omp rows "
-                        "(default: same file as baseline)")
+    p.add_argument("aggregate", help="aggregate CSV holding the omp and adaptive-omp rows")
     p.add_argument("--out", metavar="CSV", help="write the comparison table")
     p.set_defaults(func=_cmd_compare)
 

@@ -13,10 +13,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +120,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name, low in (("n_clusters", 2), ("k", 1), ("trials", 1), ("seed", 0)):
+        # the adaptive budgets average each point's k-1 nearest neighbors
+        k_low = 2 if self.method == "adaptive-omp" else 1
+        for name, low in (("n_clusters", 2), ("k", k_low), ("trials", 1), ("seed", 0)):
             check_integer(getattr(self, name), name, low)
         if self.samples_per_cluster is not None:
             check_integer(self.samples_per_cluster, "samples_per_cluster", 1)
@@ -146,6 +145,10 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("sweep values must be nonempty")
+        for i, value in enumerate(values):
+            # a repeated value would run its cells twice and overwrite their files
+            if value in values[:i]:
+                raise ValueError(f"sweep value {value!r} repeats in {self.axis} values {values}")
         object.__setattr__(self, "values", values)
 
 
@@ -282,26 +285,16 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         raise ExperimentError(f"trial failed ({context}): {exc}") from exc
 
 
-def run_trials(cfg: ExperimentConfig, workers: int = 1) -> list[MetricsReport]:
-    """All cfg.trials trials of one configuration, on a pool of ``workers``
-    processes when more than one. The dataset is loaded once, here, and
-    passed to every trial. Trial order in the result is by trial index
-    either way."""
-    check_integer(workers, "workers", 1)
+def run_trials(cfg: ExperimentConfig) -> list[MetricsReport]:
+    """All cfg.trials trials of one configuration, in trial-index order.
+    The dataset is loaded once, here, and passed to every trial."""
     context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
                f"seed={cfg.seed}")
     try:
         data = load_dataset(cfg)
     except (ValueError, OSError) as exc:
         raise ExperimentError(f"dataset failed to load ({context}): {exc}") from exc
-    trials = range(cfg.trials)
-    if workers == 1 or cfg.trials == 1:
-        return [run_trial(cfg, t, data=data) for t in trials]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as pool:
-            return list(pool.map(run_trial, repeat(cfg), trials, repeat(data)))
-    except BrokenProcessPool as exc:
-        raise ExperimentError(f"worker process died ({context})") from exc
+    return [run_trial(cfg, t, data=data) for t in range(cfg.trials)]
 
 
 def mean_metrics(reports: list[MetricsReport]) -> dict:
@@ -341,7 +334,6 @@ def run_sweep(
     base: ExperimentConfig,
     sweep: SweepSpec,
     out_dir: str | Path | None = None,
-    workers: int = 1,
 ) -> list[dict]:
     """Run both methods over every sweep value, mean-aggregated over trials.
 
@@ -363,7 +355,7 @@ def run_sweep(
     rows = []
     for value, cfg in cells:
         try:
-            reports = run_trials(cfg, workers=workers)
+            reports = run_trials(cfg)
         except ExperimentError as exc:
             rows.append(_error_row(cfg, str(exc)))
             continue
@@ -418,15 +410,14 @@ def _row_key(row: dict):
     return tuple(row[c] for c in _RUN_KEY)
 
 
-def compare(baseline_rows: list[dict], adaptive_rows: list[dict]) -> list[dict]:
-    """Pair aggregate rows by run key and emit adaptive-minus-baseline deltas.
-
-    Inputs may come from the same sweep CSV (rows are filtered by method
-    here) or from two separate ones; after filtering, the two sides must
-    cover exactly the same run keys.
+def compare(rows: list[dict]) -> list[dict]:
+    """Pair one aggregate's omp and adaptive-omp rows by run key and emit
+    adaptive-minus-baseline deltas, one row per key in the order the omp
+    rows first show it; a key repeated within a method takes its last row.
+    The two methods' rows must cover exactly the same run keys.
     """
-    base = {_row_key(r): r for r in baseline_rows if r["method"] == "omp"}
-    adapt = {_row_key(r): r for r in adaptive_rows if r["method"] == "adaptive-omp"}
+    base = {_row_key(r): r for r in rows if r["method"] == "omp"}
+    adapt = {_row_key(r): r for r in rows if r["method"] == "adaptive-omp"}
     if set(base) != set(adapt):
         only_base = sorted(set(base) - set(adapt))
         only_adapt = sorted(set(adapt) - set(base))

@@ -37,12 +37,12 @@ from one-point products, so coefficients can differ from a point-by-point
 pursuit in the last bits (see :func:`_pursue`).
 
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
-target, and :func:`sscomp.adaptive.checked_gram` a Gram array a caller
-passes; a :class:`~sscomp.adaptive.Gram` made by
-:func:`~sscomp.adaptive.gram_matrix` is finite by construction and is not
-scanned. Unit norms are checked where they are read: on the Gram diagonal,
-by those two functions, and in :func:`omp_solve`, which forms no Gram, on
-the dictionary's squared column norms. Each self-expression call logs, at
+target, and a :class:`~sscomp.adaptive.Gram` is made only by
+:func:`~sscomp.adaptive.gram_matrix`, finite by construction and not
+scanned; :func:`sscomp.adaptive.checked_gram` refuses any other kind of
+Gram. Unit norms are checked where they are read: on the Gram diagonal, by
+:func:`~sscomp.adaptive.gram_matrix`, and in :func:`omp_solve`, which forms
+no Gram, on the dictionary's squared column norms. Each self-expression call logs, at
 DEBUG on the ``sscomp`` logger, how many points stopped for each reason in
 :data:`STOPS`.
 """
@@ -385,7 +385,7 @@ def ssc_omp(x: DataMatrix, k: int, eps: float = 1e-6) -> CoefMatrix:
 
 
 def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
-                     gram: Gram | np.ndarray | None = None) -> CoefMatrix:
+                     gram: Gram | None = None) -> CoefMatrix:
     """Self-expression with per-point budgets: column i codes point i over
     all other points with at most ``k_array.sizes[i]`` atoms.
 
@@ -395,7 +395,7 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     one used for budget selection), otherwise it is computed here and held
     for the call, 8 N^2 bytes. :func:`~sscomp.adaptive.checked_gram` takes
     a passed :class:`~sscomp.adaptive.Gram` as it is once it is N x N, and
-    scans any other array for finiteness, one O(N^2) pass. The points run
+    refuses any other type. The points run
     through :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
     of the budgets so that a block's points tend to stop together (unsorted
     blocks run to their largest budget and compact on nearly every step).
@@ -405,8 +405,8 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     i's support in selection order, which :class:`CoefMatrix` sorts. One
     DEBUG line on the ``sscomp`` logger gives the point count, nnz and how
     many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
-    nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`). The
-    data's columns, or a passed array's diagonal, must be unit.
+    nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`). Without a
+    passed Gram, the data's columns must be unit.
     """
     check_eps(eps)
     if k_array.n != x.n:

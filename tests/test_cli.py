@@ -89,6 +89,13 @@ class TestCluster:
         assert code == 1
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster"], ["sweep", "--axis", "k", "--values", "3", "--out-dir", "never-made"],
+    ], ids=["cluster", "sweep"])
+    def test_workers_flag_rejected(self, capsys, argv):
+        assert exit_code(*argv, "--synth", SYNTH, "--workers", "2") == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_adaptive_method(self, capsys):
         code, out, _ = run(
             capsys,
@@ -161,6 +168,21 @@ class TestSweep:
         spellings = ",".join(sorted(a[0] for a in self.AXIS_SPELLINGS))
         assert f"--axis {{{spellings}}}" in out
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("sigma", "0.1,0.10", "sweep value 0.1 repeats"),
+        ("k", "1,2", "k must be an integer of at least 2, got 1"),
+    ], ids=["repeated-after-cast", "adaptive-k-1"])
+    def test_invalid_value_fails_before_any_file(self, capsys, tmp_path, axis, values, message):
+        out_dir = tmp_path / "sweep"
+        code, _, err = run(
+            capsys,
+            "sweep", "--synth", SYNTH, "--k", "3",
+            "--axis", axis, "--values", values, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert message in err
+        assert not out_dir.exists()
+
     def test_unknown_axis_value_type(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -192,6 +214,10 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(r["delta_accr"] != "" for r in rows)
+
+    def test_second_file_rejected(self, capsys):
+        assert exit_code("compare", "a.csv", "b.csv") == 2
+        assert "unrecognized arguments: b.csv" in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "compare", str(tmp_path / "nope.csv"))
@@ -367,7 +393,7 @@ class TestArgumentFile:
         assert exit_code("cluster", path) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("k", 2.5), ("workers", 1.5)])
+    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("k", 2.5)])
     def test_value_parsed_with_the_flag_type(self, capsys, tmp_path, key, value):
         path = args_file(tmp_path, f"--synth={SYNTH}", f"--{key}={value}")
         assert exit_code("cluster", path) == 2

@@ -1,6 +1,5 @@
 import json
 import logging
-import os
 
 import numpy as np
 import pytest
@@ -87,6 +86,11 @@ class TestSweepSpec:
 
     def test_values_coerced_to_tuple(self):
         assert SweepSpec("k", [2, 3]).values == (2, 3)
+
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ValueError, match=r"sweep value 2 repeats in n_clusters values "
+                                             r"\(2, 3, 2\)"):
+            SweepSpec("n_clusters", (2, 3, 2))
 
 
 class TestDatasetHandling:
@@ -291,6 +295,40 @@ class TestRunTrial:
         assert report.perc == 100.0
         assert report.accr == 100.0
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("method", experiment.METHODS)
+    def test_noisy_budget_above_a_cluster_size(self, method, seed, monkeypatch):
+        # K=6 atoms for 4-point clusters, half the columns noisy: eps no
+        # longer stops every pursuit at the subspace dimension, so budgets
+        # bind and pursuits cross clusters; the trial must still complete
+        # with budgets, coefficients and labels that keep their contracts
+        seen = {}
+
+        def recording(name):
+            real = getattr(experiment, name)
+
+            def call(*args, **kwargs):
+                seen[name] = real(*args, **kwargs)
+                return seen[name]
+            monkeypatch.setattr(experiment, name, call)
+
+        for name in ("compute_k_array", "ssc_omp", "ssc_omp_adaptive"):
+            recording(name)
+        cfg = ExperimentConfig(SyntheticSpec(3, 2, 12, 8, seed), n_clusters=3, method=method,
+                               k=6, samples_per_cluster=4, noise_sigma=0.5,
+                               noise_variance=0.1)
+        report, predicted = experiment.run_trial_detailed(cfg)
+        n = report.params["n_points"]
+        budgets = seen["compute_k_array"].sizes if method == "adaptive-omp" else np.full(n, 6)
+        assert 1 <= budgets.min() and budgets.max() <= n - 2
+        coefs = seen["ssc_omp_adaptive" if method == "adaptive-omp" else "ssc_omp"]
+        for i in range(n):
+            support, _ = coefs.column(i)
+            assert support.size <= budgets[i]
+            assert i not in support
+        assert 0.5 <= report.sea <= 1.0
+        assert np.unique(predicted.assignments).size == 3
+
 
 class TestRunTrials:
     def test_serial_count_and_order(self):
@@ -298,30 +336,18 @@ class TestRunTrials:
         reports = run_trials(cfg)
         assert [r.params["trial"] for r in reports] == [0, 1, 2]
 
-    def test_parallel_matches_serial(self):
-        cfg = small_config(trials=3, noise_sigma=0.2)
-        serial = [r.to_dict() for r in run_trials(cfg, workers=1)]
-        parallel = [r.to_dict() for r in run_trials(cfg, workers=2)]
-        for s, p in zip(serial, parallel):
-            s.pop("time"), p.pop("time")
-            assert s == p
+    def test_dataset_loaded_once(self, monkeypatch):
+        calls = []
+        real = experiment.load_dataset
 
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
 
-class TestWorkerCount:
-    def test_default_serial(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a default run built a process pool")
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
-        assert len(run_trials(small_config(trials=2))) == 2
-
-    def test_invalid_values(self):
-        with pytest.raises(ValueError, match="workers must be an integer of at least 1, got 0"):
-            run_trials(small_config(), workers=0)
-        for workers in (1.5, 2.0, "2"):
-            with pytest.raises(ValueError, match=f"workers must be an integer of at least 1, "
-                                                 f"got {workers!r}"):
-                run_trials(small_config(trials=2), workers=workers)
+        monkeypatch.setattr(experiment, "load_dataset", counting)
+        reports = run_trials(small_config(trials=2))
+        assert [r.params["trial"] for r in reports] == [0, 1]
+        assert len(calls) == 1
 
 
 class TestAggregation:
@@ -384,6 +410,13 @@ class TestRunSweep:
             run_sweep(small_config(), SweepSpec("k", (3, 0)), out_dir=out)
         assert not out.exists()
 
+    def test_adaptive_k_below_two_raises_before_any_trial(self, tmp_path):
+        # K=1 is a valid omp cell but not an adaptive one, so no cell runs
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="k must be an integer of at least 2, got 1"):
+            run_sweep(small_config(), SweepSpec("k", (1, 2)), out_dir=out)
+        assert not out.exists()
+
     def test_out_dir_artifacts(self, tmp_path):
         out = tmp_path / "sweep"
         rows = run_sweep(
@@ -429,7 +462,7 @@ def fake_row(method, accr, time="1.0", seed="7", error=""):
 class TestCompare:
     def test_zero_deltas_for_identical_scores(self):
         rows = [fake_row("omp", "90.0"), fake_row("adaptive-omp", "90.0")]
-        result = compare(rows, rows)
+        result = compare(rows)
         assert len(result) == 1
         r = result[0]
         assert r["delta_accr"] == "0.0000"
@@ -438,13 +471,13 @@ class TestCompare:
 
     def test_loses_flag_set_when_baseline_wins(self):
         rows = [fake_row("omp", "90.0"), fake_row("adaptive-omp", "85.5")]
-        r = compare(rows, rows)[0]
+        r = compare(rows)[0]
         assert r["delta_accr"] == "-4.5000"
         assert r["adaptive_loses"] == "yes"
 
     def test_gain_keeps_flag_empty(self):
         rows = [fake_row("omp", "80.0"), fake_row("adaptive-omp", "88.0")]
-        r = compare(rows, rows)[0]
+        r = compare(rows)[0]
         assert r["delta_accr"] == "8.0000"
         assert r["adaptive_loses"] == ""
 
@@ -452,24 +485,24 @@ class TestCompare:
         baseline = [fake_row("omp", "90.0", seed="1")]
         adaptive = [fake_row("adaptive-omp", "90.0", seed="2")]
         with pytest.raises(ValueError, match="do not pair up"):
-            compare(baseline, adaptive)
+            compare(baseline + adaptive)
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="no paired rows"):
-            compare([], [])
+            compare([])
 
     def test_error_rows_propagate(self):
         rows = [
             fake_row("omp", "", error="boom"),
             fake_row("adaptive-omp", "", error=""),
         ]
-        r = compare(rows, rows)[0]
+        r = compare(rows)[0]
         assert r["error"] == "boom"
         assert r["delta_accr"] == ""
 
     def test_comparison_csv_written(self, tmp_path):
         rows = [fake_row("omp", "90.0"), fake_row("adaptive-omp", "95.0")]
-        result = compare(rows, rows)
+        result = compare(rows)
         path = tmp_path / "cmp.csv"
         write_comparison_csv(result, path)
         text = path.read_text().splitlines()
@@ -480,52 +513,16 @@ class TestCompare:
         baseline = [fake_row("omp", "70.0", seed="3"), fake_row("omp", "80.0", seed="1"),
                     fake_row("omp", "90.0", seed="2"), fake_row("omp", "75.0", seed="3")]
         adaptive = [fake_row("adaptive-omp", "80.0", seed=seed) for seed in ("1", "2", "3")]
-        result = compare(baseline, adaptive)
+        result = compare(baseline + adaptive)
         assert [r["seed"] for r in result] == ["3", "1", "2"]
         assert [r["accr_baseline"] for r in result] == ["75.0", "80.0", "90.0"]
         assert result[0]["dataset"] == "d" and result[0]["K"] == "3"
 
     def test_real_sweep_rows_compare(self):
         rows = run_sweep(small_config(), SweepSpec("k", (2, 3)))
-        result = compare(rows, rows)
+        result = compare(rows)
         assert len(result) == 2
         assert all(r["error"] == "" for r in result)
-
-
-def _die_in_worker(*args, **kwargs):
-    os._exit(1)
-
-
-class TestWorkerPool:
-    def test_pool_path_loads_dataset_once(self, monkeypatch):
-        calls = []
-        real = experiment.load_dataset
-
-        def counting(cfg):
-            calls.append(cfg)
-            return real(cfg)
-
-        monkeypatch.setattr(experiment, "load_dataset", counting)
-        reports = run_trials(small_config(trials=2), workers=2)
-        assert [r.params["trial"] for r in reports] == [0, 1]
-        assert len(calls) == 1
-
-    def test_dead_worker_raises_experiment_error(self, monkeypatch):
-        # the pool sends the patched runner by reference; forked workers
-        # already hold this module, so they call it
-        monkeypatch.setattr(experiment, "run_trial", _die_in_worker)
-        with pytest.raises(ExperimentError, match=r"worker process died.*"
-                           r"dataset=synthetic\[.*method=omp, seed=7"):
-            run_trials(small_config(trials=2), workers=2)
-
-    def test_dead_worker_becomes_error_row(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(experiment, "run_trial", _die_in_worker)
-        rows = run_sweep(small_config(trials=2), SweepSpec("k", (3,)),
-                         out_dir=tmp_path, workers=2)
-        assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
-        assert all("worker process died" in r["error"] for r in rows)
-        written = read_aggregate_csv(tmp_path / "aggregate.csv")
-        assert [r["error"] for r in written] == [r["error"] for r in rows]
 
 
 class TestUnreadableDataset:
@@ -539,12 +536,12 @@ class TestUnreadableDataset:
         with pytest.raises(ExperimentError, match=r"dataset failed to load "
                            r"\(dataset=.*bad\.csv, method=omp, seed=7\).*"
                            r"row 2, column 2"):
-            run_trials(small_config(dataset=str(bad_csv)), workers=1)
+            run_trials(small_config(dataset=str(bad_csv)))
 
     def test_sweep_records_error_rows(self, bad_csv, tmp_path):
         out = tmp_path / "out"
         rows = run_sweep(small_config(dataset=str(bad_csv)), SweepSpec("k", (3,)),
-                         out_dir=out, workers=1)
+                         out_dir=out)
         assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
         assert all("dataset failed to load" in r["error"] for r in rows)
         written = read_aggregate_csv(out / "aggregate.csv")
@@ -555,7 +552,7 @@ class TestUnreadableDataset:
         np.savez(path, values=np.ones(24), labels=np.repeat([0, 1, 2], 8))
         out = tmp_path / "out"
         rows = run_sweep(small_config(dataset=str(path)), SweepSpec("k", (3,)),
-                         out_dir=out, workers=1)
+                         out_dir=out)
         assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
         assert all("dataset failed to load" in r["error"] and "2-d array" in r["error"]
                    for r in rows)

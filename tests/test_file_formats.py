@@ -112,7 +112,7 @@ class TestReports:
         adaptive = aggregate_row("adaptive-omp", "93.3579", "0.234567", "0.701234",
                                  "47.1111", "10.0002", "0.912345")
         path = tmp_path / "comparison.csv"
-        write_comparison_csv(compare([base], [adaptive]), path)
+        write_comparison_csv(compare([base, adaptive]), path)
         assert path.read_bytes() == (
             COMPARISON_HEADER + b"\r\n"
             b"d,3,,8,1e-06,0.1,4,91.2345,93.3579,2.1234,0.046913,1.4322,-2.3454,"

@@ -464,21 +464,6 @@ class TestAdaptiveDriver:
         with pytest.raises(ValueError, match="covers"):
             ssc_omp_adaptive(x, KArray.uniform(2, 8), 1e-6)
 
-    def test_non_finite_gram_rejected(self, unit_matrix):
-        x = unit_matrix(5, 9, seed=16)
-        gram = x.values.T @ x.values
-        gram[3, 4] = np.nan
-        with pytest.raises(ValueError, match="gram contains non-finite"):
-            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
-
-    def test_gram_diagonal_checked(self, unit_matrix):
-        x = unit_matrix(5, 9, seed=16)
-        gram = x.values.T @ x.values
-        gram[2, 2] = 1.5
-        with pytest.raises(ValueError, match=r"gram must be unit-normalized: the norm of "
-                                             r"column 2 deviates from 1 by \+2\.247e-01"):
-            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=gram)
-
     @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
     def test_bad_eps_rejected(self, unit_matrix, bad):
         x = unit_matrix(5, 9, seed=16)
@@ -487,11 +472,12 @@ class TestAdaptiveDriver:
 
     def test_gram_shape_checked(self, unit_matrix):
         x = unit_matrix(5, 9, seed=16)
-        gram = x.values.T @ x.values
-        # a raw array, and a checked Gram of other data
-        for wrong in (gram[:8, :8], gram_matrix(unit_matrix(5, 8, seed=16))):
-            with pytest.raises(ValueError, match="gram must be 9 x 9"):
-                ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=wrong)
+        # a checked Gram of other data; a raw array is refused before its shape is read
+        with pytest.raises(ValueError, match="gram must be 9 x 9"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6,
+                             gram=gram_matrix(unit_matrix(5, 8, seed=16)))
+        with pytest.raises(TypeError, match="gram must be a Gram made by gram_matrix, got ndarray"):
+            ssc_omp_adaptive(x, KArray.uniform(2, 9), 1e-6, gram=x.values.T @ x.values)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -502,18 +488,23 @@ class TestAdaptiveDriver:
         eps=st.sampled_from([0.0, 1e-6]),
     )
     def test_gram_forms_agree_bitwise(self, seed, n, dim, k, eps):
-        # budgets and C are the same bits whether the Gram is formed inside,
-        # passed as a checked Gram, or passed as a raw array
+        # budgets and C are the same bits whether the Gram is formed inside
+        # or passed as a checked Gram; a raw array is refused by both
         rng = np.random.default_rng(seed)
         x = normalize_columns(DataMatrix(rng.standard_normal((dim, n))))
         k = min(k, n - 1)
         results = []
-        for gram in (None, gram_matrix(x), np.array(x.values.T @ x.values)):
+        for gram in (None, gram_matrix(x)):
             budgets = compute_k_array(x, k, gram=gram)
             c = ssc_omp_adaptive(x, budgets, eps, gram=gram)
             assert budgets.sizes.min() >= 1 and budgets.sizes.max() <= n - 2
             results.append([budgets.sizes.tobytes()] + [a.tobytes() for a in c.triplets()])
-        assert results[1] == results[0] and results[2] == results[0]
+        assert results[1] == results[0]
+        raw = np.array(x.values.T @ x.values)
+        with pytest.raises(TypeError, match="gram must be a Gram made by gram_matrix, got ndarray"):
+            compute_k_array(x, k, gram=raw)
+        with pytest.raises(TypeError, match="gram must be a Gram made by gram_matrix, got ndarray"):
+            ssc_omp_adaptive(x, budgets, eps, gram=raw)
 
     def stop_log(self, caplog, x, budgets, eps):
         with caplog.at_level(logging.DEBUG, logger="sscomp"):

@@ -22,7 +22,6 @@ from sscomp import (
     neighborhood_scores,
     normalize_columns,
     omp_solve,
-    run_trials,
     spectral_cluster,
     ssc_omp,
 )
@@ -51,7 +50,8 @@ INTEGER_ARGUMENTS = {
         ("points_per_subspace", 1), ("rng_seed", 0))},
     **{f"ExperimentConfig.{name}": (replacing(CONFIG, name), name, low) for name, low in (
         ("n_clusters", 2), ("k", 1), ("trials", 1), ("samples_per_cluster", 1), ("seed", 0))},
-    "run_trials.workers": (lambda v: run_trials(CONFIG, workers=v), "workers", 1),
+    "ExperimentConfig.k[adaptive-omp]": (replacing(
+        dataclasses.replace(CONFIG, method="adaptive-omp"), "k"), "k", 2),
     "Labels.n_clusters": (lambda v: Labels([0, 1, 2], v), "n_clusters", 1),
     "omp_solve.k": (lambda v: omp_solve(POINTS, np.ones(4), v), "k", 1),
     "spectral_cluster.n_clusters": (lambda v: spectral_cluster(PAIRS, v), "n_clusters", 2),
