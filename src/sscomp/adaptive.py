@@ -150,8 +150,8 @@ class Gram:
 def gram_matrix(x: DataMatrix) -> Gram:
     """X^T X of unit-norm columns: entry (i, j) is the cosine of the angle
     between points i and j. Computed once and shared read-only, both for
-    budget selection and for the greedy solver, whose correlation updates
-    read its rows. An N x N float64 array: 8 N^2 bytes. The columns are
+    budget selection and for the greedy solver, which reads one of its rows
+    per selected atom. An N x N float64 array: 8 N^2 bytes. The columns are
     checked to be unit on the diagonal of the product, after it is formed;
     the product is not scanned for finiteness."""
     g = x.values.T @ x.values

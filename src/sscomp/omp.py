@@ -9,32 +9,32 @@ the per-point coefficient vectors gives the self-expressive matrix C with a
 zero diagonal.
 
 The loop runs on the Gram matrix X^T X alone, as Batch-OMP does
-(Rubinstein, Zibulevsky & Elad, 2008): it never forms the active set's
-orthonormal basis q_t in X-space, only its image X^T q_t, one length-N row
-per selected atom. The correlations X^T r and the squared residual norm
-follow from those rows and Gram rows at O(N t) per step (t atoms selected
-so far), and the rows hold the final fit as well: the triangular factor R
-of the active set and Q^T y are their entries at the selected atoms and at
-the target, which is itself an atom, excluded from its own selection. Both
-methods therefore hold an N x N float64 Gram, 8 N^2 bytes: 3.3 MB at N=640, 32 MB
-at N=2000, 3.2 GB at N=20000. The rank test bounds the squared distance
-of a candidate atom from the active span, because in Gram space only the
-square is formed and it carries ~1e-16 absolute rounding. An atom inside
-that span ends the pursuit before it is added, so every exit solves the
-same nonsingular triangular system.
+(Rubinstein, Zibulevsky & Elad, 2008): it never forms a residual or an
+orthonormal basis in X-space. Each point keeps the raw Gram rows of the
+atoms it has selected, beside its own row, and the inverse R^-1 of the
+triangular factor of their Gram block. Its fit c is updated from R^-1 as
+each atom joins, and its correlations X^T r = G[i] - sum_s c_s G[j_s] are
+one product over those rows, so a step costs O(N t) (t atoms selected so
+far). Both methods therefore hold an N x N float64 Gram, 8 N^2 bytes:
+3.3 MB at N=640, 32 MB at N=2000, 3.2 GB at N=20000. The rank test bounds
+the squared distance of a candidate atom from the active span, because in
+Gram space only the square is formed and it carries ~1e-16 absolute
+rounding. An atom inside that span ends the pursuit before it is added, so
+the factor never becomes singular.
 
 Points are pursued in lockstep, in blocks of :data:`BLOCK`: every live
 point of a block takes its next step in the same few numpy calls on
 (block, N) arrays, because at the sizes this package runs, call overhead
-rather than flops sets the cost of a one-point step. A point leaves its
-block when it stops, and only then are the block's arrays compacted.
-:func:`ssc_omp_adaptive` forms the blocks over the points sorted by
-budget, so a block's points tend to stop together, and the points that
-stop at the same step are solved with one batched call. :func:`omp_solve`
-runs a block of one: its target, scaled to unit norm, is appended to the
-dictionary as the excluded atom. The batched products round differently
-from one-point products, so coefficients can differ from a point-by-point
-pursuit in the last bits (see :func:`_pursue`).
+and passes over those arrays rather than flops set the cost of a step. A
+point leaves its block when it stops, and only then are the block's arrays
+compacted; a point that stops on eps or on its budget leaves before the
+correlations of its last fit are formed. :func:`ssc_omp_adaptive` forms
+the blocks over the points sorted by budget, so a block's points tend to
+stop together. :func:`omp_solve` runs a block of one: its target, scaled
+to unit norm, is appended to the dictionary as the excluded atom. The
+batched products round differently from one-point products, so
+coefficients can differ from a point-by-point pursuit in the last bits (see
+:func:`_pursue`).
 
 Non-finite input is rejected where it enters: :func:`omp_solve` checks its
 target, and a :class:`~sscomp.adaptive.Gram` is made only by
@@ -179,57 +179,53 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     ``rows(j, out)`` writes the rows G[j] of an index vector j into the
     (len(j), n) array ``out``; it is the only view of the n x n Gram.
     Target p is the atom ``exclude[p]``, which is masked out of its own
-    selection: its Gram row holds the first correlations, which the loop
-    updates in place, and its diagonal entry the squared target norm.
-    ``caps`` holds the per-target atom budgets, at most the n - 1 other
-    atoms.
+    selection: its Gram row holds the first correlations, and its diagonal
+    entry the squared target norm. ``caps`` holds the per-target atom
+    budgets, at most the n - 1 other atoms.
 
-    The active set's orthonormal basis q_0..q_{t-1} is never formed in
-    X-space; each target holds its image ``xq[s] = X^T q_s`` instead, and
-    that is the loop's only state besides the per-target vectors. For a
-    candidate atom j, ``xq[:t, j]`` is its projection onto the basis and
-    ``G[j, j] - |xq[:t, j]|^2`` its squared distance w^2 from the active
-    span, so a step costs O(N t) per target: the new row
-    ``xq[t] = (G[j] - xq[:t, j] @ xq[:t]) / w`` deflates the correlations,
-    and the squared residual drops by ``(corr[j] / w)^2``. The same rows
-    hold the final fit: the triangular factor is R[s, u] = q_s . x_{j_u} =
-    ``xq[s, j_u]``, and Q^T y is ``xq[:, i]`` at the excluded atom i, the
-    target itself.
+    Each target keeps its own Gram row G[i] in ``raw[0]`` and the row
+    G[j_s] of its s-th selected atom in ``raw[s]``; ``inv`` holds R^-1,
+    upper triangular, where G[S, S] = R^T R over the selected set S; and
+    ``weights`` holds the residual r = y - X_S c over those rows, 1 and then
+    -c, so that X^T r = ``weights @ raw``. Selecting atom j costs O(t^2)
+    beyond the product: proj = G[S, j]^T R^-1 is the atom's projection onto
+    the active set's orthonormal basis and w^2 = G[j, j] - |proj|^2 its
+    squared distance from the active span; R^-1 grows by the column
+    (-R^-1 proj / w, 1 / w); the new entry of Q^T y is step = (X^T r)[j] / w,
+    the squared residual drops by step^2, and c = R^-1 Q^T y grows by step
+    times R^-1's new column.
 
     Every live target takes step t at once, so a step is a fixed handful of
-    numpy calls for the whole block, not per target: one argmax over the
-    (b, N) magnitudes, one gather of the b selected Gram rows (straight into
-    the new ``xq`` rows), one batched ``matmul`` for those rows and one
-    correlation update. Selected and excluded atoms get magnitude -inf,
-    which the argmax never picks over a real value. ``xq`` is held
-    step-major, (cap, b, N), so the rows a step writes form one contiguous
-    (b, N) block. A target leaves the block when it stops; the per-target
-    arrays are compacted in place only then, so the live targets always
-    fill their leading rows. Callers that want few compactions pass targets
-    with similar budgets together.
+    numpy calls for the whole block, not per target: one batched
+    ``matmul`` of ``weights`` with ``raw[:t + 1]`` for the (b, N)
+    correlations, one argmax over their magnitudes and one gather of the b
+    selected Gram rows, straight into ``raw[t + 1]``; the rest works on
+    (b, t) arrays. Selected and excluded atoms get magnitude -inf, which the
+    argmax never picks over a real value. ``raw`` is held step-major,
+    (cap + 1, b, N), so the rows a step gathers form one contiguous (b, N)
+    block. A target leaves the block when it stops; the per-target arrays
+    are compacted in place only then, so the live targets always fill their
+    leading rows. The eps and budget stops are checked before the product,
+    so a target they end does no N-length work after its last atom's
+    selection. Callers that want few compactions pass targets with similar
+    budgets together. Coefficients at or below ``COEF_DUST * |y|`` are
+    dropped as rounding dust of an exact fit. The callers check their inputs
+    for non-finite values once.
 
-    The targets that stop together share t, so they are solved together:
-    one gather of ``xq[:t]`` at each one's excluded and selected atoms, and
-    one batched ``np.linalg.solve`` of R c = Q^T y on the upper triangle
-    (the entries below it are rounding noise of exact zeros, and with them
-    zeroed the LU factorization swaps no rows). Coefficients at or below
-    ``COEF_DUST * |y|`` are dropped as rounding dust of an exact fit. The
-    callers check their inputs for non-finite values once.
-
-    Rounding: the batched ``matmul`` runs one BLAS product per target, the
-    squared projection norms are summed by ``einsum``, the new rows are
-    scaled by 1/w rather than divided by w (a multiply is the cheaper pass
-    over (b, N)), and R's diagonal is read as ``xq[t, j]``, w^2 scaled by
-    1/w, not w itself. Each of these rounds differently from a one-target
-    loop that stores its factor, so coefficients differ from it in the last
-    bits: a few 1e-15 on benchmark-shaped data, whose supports were equal.
+    Rounding: the batched ``matmul`` runs one BLAS product per target; the
+    selected atom's signed correlation is summed again from its t + 1 terms
+    by ``einsum``, as are the squared projection norms; and c is
+    accumulated one column of R^-1 at a time rather than solved at the end.
+    Each of these rounds differently from a one-target loop, so coefficients
+    differ from it in the last bits: a few 1e-15 on benchmark-shaped data,
+    whose supports were equal.
 
     ``RANK_TOL`` bounds w^2, not w: w^2 is a difference of O(1) Gram
     entries and carries ~1e-16 absolute rounding, so an atom with w below
     1e-6 is taken to lie in the active span. The target stops before adding
     it: its residual is orthogonal to that span, so the atom's correlation
-    is at most w |r| < 1e-6 |r|, and no candidate correlates more. Every
-    exit therefore solves a nonsingular factor, and a near-duplicate of a
+    is at most w |r| < 1e-6 |r|, and no candidate correlates more. R^-1
+    therefore never takes a 1/w above 1e6, and a near-duplicate of a
     selected atom gets no weight.
 
     Returns one (support, coefficients, stop) per target, in block order,
@@ -243,83 +239,88 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     ~1e-16 absolute rounding, so an ``eps`` below ~1e-8 |y| acts as 0.
     """
     b = exclude.size
-    corr = np.empty((b, n))
-    rows(exclude, corr)
-    res2 = corr[np.arange(b), exclude]
     cap = int(caps.max())
-    # step-major, so the live targets' rows xq[t, :live] are one contiguous block
-    xq = np.empty((cap, b, n))
+    # step-major, so the rows a step gathers, raw[t + 1, :live], are one
+    # contiguous block; raw[0] holds the targets' own Gram rows
+    raw = np.empty((cap + 1, b, n))
+    rows(exclude, raw[0])
+    res2 = raw[0, np.arange(b), exclude]
     # column 0: the excluded atom; columns 1..t: the support
     taken = np.empty((b, cap + 1), dtype=np.int64)
     taken[:, 0] = exclude
+    # R^-1, upper triangular; its lower triangle is never written
+    inv = np.zeros((b, cap, cap))
+    # the residual over raw's rows: 1 on the target's, -c on the atoms';
+    # column t + 1 stays zero until step t writes it
+    weights = np.zeros((b, cap + 1))
+    weights[:, 0] = 1.0
     mag = np.empty((b, n))
-    update = np.empty((b, n))
     dust = COEF_DUST * np.sqrt(res2)
     caps = np.array(caps)
     slot = np.arange(b)  # block position of each live target
-    offset = np.arange(b) * n  # flat index of row p in mag and corr
+    offset = np.arange(b) * n  # flat index of row p in mag
     out = [None] * b
     eps2 = eps * eps
     live = b
     t = 0
 
     def retire(reason, filled):
-        """Solve and emit every live target with a nonzero reason (1 + its
-        index in STOPS), then move the others, with their first ``filled``
-        xq rows, to the front; returns the others' rows before the move."""
+        """Emit every live target with a nonzero reason (1 + its index in
+        STOPS), then move the others, with their first ``filled`` raw rows,
+        to the front; returns the others' rows before the move."""
         nonlocal live
         done = np.flatnonzero(reason)
-        # (done, t, 1 + t): Q^T y, then the columns of R
-        fit = xq[:t, done[:, None], taken[done, :t + 1]].transpose(1, 0, 2)
-        coefs = np.linalg.solve(np.triu(fit[:, :, 1:]), fit[:, :, :1])[:, :, 0]
+        coefs = -weights[done, 1:t + 1]
         keep = np.abs(coefs) > dust[done, None]
         for p, c, k in zip(done, coefs, keep):
             out[slot[p]] = (taken[p, 1:t + 1][k], c[k], STOPS[reason[p] - 1])
         stay = np.flatnonzero(reason == 0)
         live = stay.size
-        xq[:filled, :live] = xq[:filled, stay]
+        raw[:filled, :live] = raw[:filled, stay]
+        inv[:live, :t, :t] = inv[stay, :t, :t]
+        weights[:live, :t + 1] = weights[stay, :t + 1]
         taken[:live, :t + 1] = taken[stay, :t + 1]
-        for a in (corr, res2, dust, caps, slot):
+        for a in (res2, dust, caps, slot):
             a[:live] = a[stay]
         return stay
 
     while live:
-        # eps is checked before the budget, then the selection's stops
+        # eps is checked before the budget, then the selection's stops; a
+        # target stopping here skips the correlations of its last fit
         reason = np.where(res2[:live] < eps2, 1, np.where(t >= caps[:live], 2, 0))
         if reason.any():
-            retire(reason, t)
+            retire(reason, t + 1)
             if not live:
                 break
-        np.abs(corr[:live], out=mag[:live])
+        # X^T r = weights @ raw[:t + 1], one product per target, made
+        # magnitudes in place
+        np.matmul(weights[:live, None, :t + 1], raw[:t + 1, :live].transpose(1, 0, 2),
+                  out=mag[:live, None, :])
+        np.abs(mag[:live], out=mag[:live])
         mag.put(taken[:live, :t + 1] + offset[:live, None], -np.inf)
         j = mag[:live].argmax(axis=1)
-        at = offset[:live] + j
-        new = xq[t, :live]
-        rows(j, new)
-        proj = xq[:t, np.arange(live), j].T
-        w2 = new[np.arange(live), j] - np.einsum("ij,ij->i", proj, proj)
-        reason = np.where(mag.take(at) < ZERO_CORRELATION, 3, np.where(w2 < RANK_TOL, 4, 0))
+        lane = np.arange(live)
+        # the selected atom's correlation, sign included, from its t + 1 entries
+        best = np.einsum("ij,ji->i", weights[:live, :t + 1], raw[:t + 1, lane, j])
+        rows(j, raw[t + 1, :live])
+        proj = np.matmul(raw[1:t + 1, lane, j].T[:, None, :], inv[:live, :t, :t])[:, 0]
+        w2 = raw[t + 1, lane, j] - np.einsum("ij,ij->i", proj, proj)
+        reason = np.where(mag[lane, j] < ZERO_CORRELATION, 3, np.where(w2 < RANK_TOL, 4, 0))
         if reason.any():
             # the atom is numerically inside span(active set) for a rank
             # stop: adding it would make the factor singular, so the fit
-            # keeps the atoms it has
-            stay = retire(reason, t + 1)
+            # keeps the atoms it has. The others keep the row just gathered
+            stay = retire(reason, t + 2)
             if not live:
                 break
-            j, proj, w2 = j[stay], proj[stay], w2[stay]
-            at = offset[:live] + j
-            new = xq[t, :live]
+            j, best, proj, w2 = j[stay], best[stay], proj[stay], w2[stay]
         taken[:live, t + 1] = j
         w = np.sqrt(w2)
-        if t:
-            np.matmul(proj[:, None, :], xq[:t, :live].transpose(1, 0, 2),
-                      out=update[:live, None, :])
-            new -= update[:live]
-        new *= (1.0 / w)[:, None]
-        step = corr.take(at) / w
-        np.multiply(new, step[:, None], out=update[:live])
-        corr[:live] -= update[:live]
+        inv[:live, :t, t] = np.matmul(inv[:live, :t, :t], proj[:, :, None])[:, :, 0] / -w[:, None]
+        inv[:live, t, t] = 1.0 / w
+        step = best / w
         res2[:live] -= step * step
+        weights[:live, 1:t + 2] -= inv[:live, :t + 1, t] * step[:, None]
         t += 1
     return out
 
@@ -389,7 +390,7 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     """Self-expression with per-point budgets: column i codes point i over
     all other points with at most ``k_array.sizes[i]`` atoms.
 
-    The solver reads the Gram X^T X for every correlation update, through
+    The solver reads the Gram X^T X one row per selected atom, through
     :meth:`Gram.rows <sscomp.adaptive.Gram.rows>`; ``gram`` may pass a
     precomputed one (from :func:`~sscomp.adaptive.gram_matrix`, e.g. the
     one used for budget selection), otherwise it is computed here and held
@@ -399,8 +400,9 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     through :func:`_pursue` in blocks of :data:`BLOCK`, formed over a stable sort
     of the budgets so that a block's points tend to stop together (unsorted
     blocks run to their largest budget and compact on nearly every step).
-    Each block holds its own arrays, ~BLOCK * (budget + 3) * N floats
-    besides the Gram (5.6 MB for the fixed budget 8 at N=2000). C is
+    Each block holds its own arrays, ~BLOCK * (budget + 2) * N floats
+    besides the Gram, and BLOCK * budget^2 for R^-1 (5.1 MB for the
+    fixed budget 8 at N=2000). C is
     built straight into compressed sparse columns: column i holds point
     i's support in selection order, which :class:`CoefMatrix` sorts. One
     DEBUG line on the ``sscomp`` logger gives the point count, nnz and how

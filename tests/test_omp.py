@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import sparse
 
 from sscomp import DataMatrix, normalize_columns
 from sscomp.adaptive import KArray, compute_k_array, gram_matrix
+from sscomp.data import SyntheticSpec, add_gaussian_noise, generate_synthetic
 from sscomp.omp import (
     BLOCK,
     STOPS,
@@ -410,8 +412,8 @@ class TestSscOmp:
     @pytest.mark.parametrize("eps", [0.0, 1e-6])
     def test_tall_data_long_budgets_match_reference(self, eps):
         # faces-like shape, d >> N: noisy points near 6-dim subspaces, with
-        # budgets past the subspace dimension so most steps run on the
-        # Gram-space correlation updates
+        # budgets past the subspace dimension so most steps form their
+        # correlations from the Gram rows of long supports
         rng = np.random.default_rng(17)
         bases = [random_orthogonal(400, 30 + s)[:, :6] for s in range(4)]
         values = np.hstack([b @ rng.standard_normal((6, 10)) for b in bases])
@@ -538,6 +540,21 @@ class TestAdaptiveDriver:
         residual = x.values[:, 0] - x.values @ c[:, 0]
         assert np.linalg.norm(residual) <= 0.51
 
+    @pytest.mark.parametrize("gap, expected", [
+        (1e-5, [50251.886603634666, 0.502518907629606, -50251.18307465139]),
+        (3e-6, [167507.94177108112, 0.502518907629606, -167507.23824385667]),
+    ], ids=["1e-05", "3e-06"])
+    def test_near_duplicates_above_the_rank_edge_are_fitted(self, gap, expected):
+        # w^2 ~ gap^2 lies above RANK_TOL, so the pair is fitted with ~1/gap
+        # weights. A least-squares solve on the same support is off by 1e-7
+        # to 1e-5 relative at these condition numbers, so the pursuit's own
+        # values are pinned
+        e1, e2, e3, e4 = np.eye(4)
+        values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + gap * e3, e2, e1, e4], axis=1)
+        x = normalize_columns(DataMatrix(values))
+        c = ssc_omp(x, 3, 0.0).to_dense()
+        np.testing.assert_allclose(c[:, 0], [0.0, *expected, 0.0], rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_blocks_match_reference_and_solo_pursuits(self, caplog, n):
         # points are pursued in lockstep blocks of BLOCK: on either side of
@@ -581,12 +598,35 @@ class TestAdaptiveDriver:
             assert perm[moved_support][order].tolist() == support.tolist()
             np.testing.assert_allclose(moved_coefs[order], coefs, rtol=0, atol=1e-12)
 
-    def test_exact_recovery_counted_as_eps_stops(self, caplog):
-        # every point lies in one 3-dim span, so 3 atoms fit it exactly and
-        # the budget of 4 is never reached (eps sits above the ~1e-16
-        # rounding of the Gram-space squared residual)
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_exact_recovery_counted_as_eps_stops(self, caplog, budget):
+        # every point lies in one 3-dim span, so 3 atoms fit it exactly (eps
+        # sits above the ~1e-16 rounding of the Gram-space squared
+        # residual); with a budget of 3 the fit lands on the last budgeted
+        # atom, and eps is checked before the budget
         rng = np.random.default_rng(19)
         basis = random_orthogonal(10, 20)[:, :3]
         x = normalize_columns(DataMatrix(basis @ rng.standard_normal((3, 8))))
-        counts = self.stop_log(caplog, x, KArray.uniform(4, 8), 1e-6)
+        counts = self.stop_log(caplog, x, KArray.uniform(budget, 8), 1e-6)
         assert counts == {"eps": 8, "budget": 0, "zero_correlation": 0, "rank": 0}
+
+    @pytest.mark.parametrize("spec, sigma, digests", [
+        (SyntheticSpec(4, 9, 2016, 32, 1, orthogonal=False), 0.5,
+         ("4e8370a702c4595fc234421cc78341dfb015aaaa", "d2cf19c74ce4b3021e1722835de374934121a38a")),
+        (SyntheticSpec(5, 5, 50, 80, 1, orthogonal=False), 0.0,
+         ("8809c6ba5a416805fb082b56b765d7d8549671a2", "f65e2eebc1398b3e3b09a45fbd110e7fa7d30c34")),
+    ], ids=["faces", "synth"])
+    def test_selections_are_pinned(self, spec, sigma, digests):
+        # sha1 of C's indptr and indices (int64) from ssc_omp and
+        # ssc_omp_adaptive at K=8 on small benchmark-shaped inputs (faces:
+        # noisy, d=2016; synth: clean, d=50): a kernel rewrite must select
+        # the same atoms
+        x, _ = generate_synthetic(spec)
+        if sigma:
+            x = add_gaussian_noise(x, sigma, 1e-3, rng_seed=1)
+        found = []
+        for c in (ssc_omp(x, 8), ssc_omp_adaptive(x, compute_k_array(x, 8))):
+            m = c.matrix
+            found.append(hashlib.sha1(m.indptr.astype(np.int64).tobytes()
+                                      + m.indices.astype(np.int64).tobytes()).hexdigest())
+        assert tuple(found) == digests
