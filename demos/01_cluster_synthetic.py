@@ -47,7 +47,7 @@ affinity = build_affinity(coefs)
 print(f"affinity edges: {affinity.nnz} stored entries, "
       f"SEA {sea_ratio(coefs):.3f}")
 
-predicted = spectral_cluster(affinity, n_clusters=5, rng_seed=0)
+predicted = spectral_cluster(affinity, n_clusters=5)
 
 print()
 print(f"accuracy            {accuracy(predicted, truth):6.2f}")

@@ -209,10 +209,10 @@ def _subsample(x: DataMatrix, y: Labels, cfg: ExperimentConfig, rng):
 
 
 def _trial_seeds(master_seed: int, trial: int):
-    """Three independent integer seeds (subsample, noise, kmeans) derived
-    from (master seed, trial index)."""
-    state = np.random.SeedSequence((master_seed, trial)).generate_state(3, np.uint64)
-    return (int(state[0]), int(state[1]), int(state[2]))
+    """Two independent integer seeds (subsample, noise) derived from
+    (master seed, trial index)."""
+    state = np.random.SeedSequence((master_seed, trial)).generate_state(2, np.uint64)
+    return (int(state[0]), int(state[1]))
 
 
 def run_trial(cfg: ExperimentConfig, trial: int = 0, data=None) -> MetricsReport:
@@ -232,7 +232,7 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
     context = f"dataset={dataset_id(cfg.dataset)}, seed={cfg.seed}, trial={trial}"
     try:
         x_full, y_full = data if data is not None else load_dataset(cfg)
-        sub_seed, noise_seed, kmeans_seed = _trial_seeds(cfg.seed, trial)
+        sub_seed, noise_seed = _trial_seeds(cfg.seed, trial)
         indices, truth = _subsample(x_full, y_full, cfg, np.random.default_rng(sub_seed))
         # one full-size copy: the corrupt or normalize step's own. The gather
         # is a second one, made only when the subsample leaves points out.
@@ -252,7 +252,7 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         else:
             coefs = ssc_omp(x, cfg.k, cfg.eps)
         affinity = build_affinity(coefs)
-        predicted = spectral_cluster(affinity, cfg.n_clusters, kmeans_seed)
+        predicted = spectral_cluster(affinity, cfg.n_clusters)
         seconds = time.perf_counter() - start
 
         report = MetricsReport(

@@ -2,7 +2,7 @@
 
 The self-expression matrix C becomes graph weights A = |C| + |C^T|; the
 segmentation is the graph's connected components when they number exactly
-the clusters asked for, and otherwise comes from k-means on the bottom
+the clusters asked for, and otherwise comes from a pivoted QR of the bottom
 eigenvectors of the symmetric normalized Laplacian of A.
 """
 
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qr, svd
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import lobpcg
-from scipy.spatial.distance import cdist
 
 from .data import Labels
 from .omp import CoefMatrix, frozen_square, save_triplets
@@ -41,9 +40,6 @@ RESIDUAL_TOL = 1e-6
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 200
 START_SEED = 0
-# k-means restarts (best inertia kept) and Lloyd iterations per restart
-KMEANS_RESTARTS = 20
-KMEANS_MAX_ITERS = 300
 # degrees are summed as dense row blocks of this many float64 entries (2 MB)
 ROW_BLOCK_ENTRIES = 1 << 18
 
@@ -120,70 +116,6 @@ def normalized_laplacian(a: AffinityMatrix) -> sparse.csr_array:
     )
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
-    """Seed centers by D^2 sampling: each new center is drawn with
-    probability proportional to the squared distance to the nearest one
-    chosen so far."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            pick = int(rng.choice(n, p=d2 / total))
-        else:
-            pick = int(rng.integers(n))
-        centers[c] = points[pick]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
-    return centers
-
-
-def _kmeans_single(points: np.ndarray, k: int, rng, max_iters: int):
-    """One seeded k-means run. Returns (labels, inertia)."""
-    n = points.shape[0]
-    centers = _kmeans_plus_plus(points, k, rng)
-    labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
-        dists = cdist(points, centers, "sqeuclidean")
-        new_labels = dists.argmin(axis=1).astype(np.int64)
-        assigned = dists[np.arange(n), new_labels]
-        counts = np.bincount(new_labels, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            # revive an empty cluster with the worst-fit point that is not
-            # the sole member of its own cluster
-            candidates = np.where(counts[new_labels] > 1, assigned, -1.0)
-            far = int(candidates.argmax())
-            counts[new_labels[far]] -= 1
-            new_labels[far] = j
-            counts[j] = 1
-            assigned[far] = 0.0
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for j in range(k):
-            centers[j] = points[labels == j].mean(axis=0)
-    dists = cdist(points, centers, "sqeuclidean")
-    inertia = float(dists[np.arange(n), labels].sum())
-    return labels, inertia
-
-
-def _kmeans(points: np.ndarray, k: int, restarts: int, max_iters: int,
-            rng_seed: int) -> np.ndarray:
-    """Best-of-restarts k-means; each restart has its own derived RNG
-    stream, best inertia wins, earliest restart wins ties."""
-    best_labels = None
-    best_inertia = np.inf
-    for child in np.random.SeedSequence(rng_seed).spawn(restarts):
-        labels, inertia = _kmeans_single(
-            points, k, np.random.default_rng(child), max_iters
-        )
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels
-
-
 def _max_residual(lap: sparse.csr_array, values: np.ndarray, vectors: np.ndarray) -> float:
     """Largest column norm of L V - V diag(values)."""
     return float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max())
@@ -198,10 +130,10 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarra
     component and is often exactly k-fold; single-vector Lanczos misses
     copies of such an eigenvalue. Dense ``eigh`` runs instead below 5k
     vertices, where LOBPCG cannot run ("dense-small"), and when LOBPCG
-    fails the residual check ("dense-fallback"). It runs only for graphs
-    that ``spectral_cluster`` does not label by their components; ``graph``
-    (their component and isolated-vertex counts) goes into every DEBUG
-    line.
+    raises or fails the residual check ("dense-fallback"). It runs only for
+    graphs that ``spectral_cluster`` does not label by their components;
+    ``graph`` (their component and isolated-vertex counts) goes into every
+    DEBUG line.
     """
     n = lap.shape[0]
     path = "dense-small"
@@ -214,7 +146,8 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarra
                     lap, start, tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER, largest=False
                 )
             residual = _max_residual(lap, values, vectors)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, ValueError):
+            # ValueError: "eigh has failed in lobpcg postprocessing"
             residual = np.nan
         if residual <= RESIDUAL_TOL:
             logger.debug("eigensolver lobpcg: n=%d k=%d %s max residual %.3g",
@@ -232,26 +165,30 @@ def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarra
     return vectors
 
 
-def _eigensolver_labels(a: AffinityMatrix, n_clusters: int, rng_seed: int,
-                        graph: str) -> Labels:
+def _eigensolver_labels(a: AffinityMatrix, n_clusters: int, graph: str) -> Labels:
     """Spectral clustering proper, for graphs their components do not label.
 
-    Embedding: eigenvectors of the n_clusters smallest eigenvalues of the
-    normalized Laplacian (see _bottom_eigenvectors, which logs ``graph``),
-    rows rescaled to unit length (all-zero rows kept as zero). Assignment:
-    k-means over the embedded rows, kmeans++ seeding, KMEANS_RESTARTS
-    restarts, lowest inertia kept.
+    Embedding: the n x k matrix V of eigenvectors of the k = n_clusters
+    smallest eigenvalues of the normalized Laplacian (see
+    _bottom_eigenvectors, which logs ``graph``). Assignment: the CPQR rule
+    of Damle, Minden & Ying ("Simple, direct and efficient multi-way
+    spectral clustering", 2019). A QR of V^T with column pivoting picks k
+    representative points; the orthogonal polar factor Q = U W^T of their
+    rows (U S W^T = svd of V[pivots]^T) turns them toward the axes, and each
+    point takes the axis of its largest |V Q| entry. No seed and no
+    restarts, O(n k^2), and up to ties the same labels for V and V R with R
+    orthogonal, so LOBPCG and dense ``eigh`` agree wherever their
+    eigenspaces do. Every graph tried gave all k ids; ``Labels`` refuses a
+    result that lacks one.
     """
     vectors = _bottom_eigenvectors(normalized_laplacian(a), n_clusters, graph)
-    norms = np.linalg.norm(vectors, axis=1)
-    embedding = np.divide(
-        vectors, norms[:, None], out=np.zeros_like(vectors), where=norms[:, None] > 0
-    )
-    assignments = _kmeans(embedding, n_clusters, KMEANS_RESTARTS, KMEANS_MAX_ITERS, rng_seed)
+    pivots = qr(vectors.T, pivoting=True, mode="r")[1][:n_clusters]
+    u, _, wt = svd(vectors[pivots].T)
+    assignments = np.abs(vectors @ (u @ wt)).argmax(axis=1)
     return Labels(assignments, n_clusters)
 
 
-def spectral_cluster(a: AffinityMatrix, n_clusters: int, rng_seed: int = 0) -> Labels:
+def spectral_cluster(a: AffinityMatrix, n_clusters: int) -> Labels:
     """Segment the affinity graph into ``n_clusters`` groups, an integer of
     at least 2 and at most the point count.
 
@@ -260,15 +197,15 @@ def spectral_cluster(a: AffinityMatrix, n_clusters: int, rng_seed: int = 0) -> L
     the segmentation, ids numbered by each component's lowest point index
     (DEBUG path "components"). The bottom eigenspace of the normalized
     Laplacian is then spanned by the vectors D^{1/2} 1_S of the components
-    S (von Luxburg 2007, Prop. 4), so the eigensolver path's embedding
-    would put each component on one unit vector and its k-means could only
-    return the same partition. Any other graph, including one with an
-    isolated vertex (its own component, with L_ii = 1 and no eigenvalue 0),
-    goes to _eigensolver_labels. Deterministic under ``rng_seed``, an
-    integer of at least 0 that seeds the k-means restarts.
+    S (von Luxburg 2007, Prop. 4): in any orthonormal basis of it, the rows
+    of one component are multiples of one unit vector, those of different
+    components are orthogonal, and the pivoted-QR assignment could only
+    return the same partition. Any other graph,
+    including one with an isolated vertex (its own component, with L_ii = 1
+    and no eigenvalue 0), goes to _eigensolver_labels. Deterministic: no
+    stage draws a seed of its own.
     """
     check_integer(n_clusters, "n_clusters", 2)
-    check_integer(rng_seed, "rng_seed", 0)
     if n_clusters > a.n:
         raise ValueError(f"cannot split {a.n} points into {n_clusters} clusters")
     # scipy labels components in order of their lowest vertex; with a zero
@@ -279,4 +216,4 @@ def spectral_cluster(a: AffinityMatrix, n_clusters: int, rng_seed: int = 0) -> L
     if count == n_clusters and not isolated:
         logger.debug("eigensolver components: n=%d k=%d %s", a.n, n_clusters, graph)
         return Labels(components, count)
-    return _eigensolver_labels(a, n_clusters, rng_seed, graph)
+    return _eigensolver_labels(a, n_clusters, graph)

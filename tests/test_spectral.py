@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import normalized_laplacian_reference
@@ -16,8 +17,6 @@ from sscomp.omp import CoefMatrix, ssc_omp
 from sscomp.spectral import (
     AffinityMatrix,
     _eigensolver_labels,
-    _kmeans,
-    _kmeans_single,
     build_affinity,
     normalized_laplacian,
     spectral_cluster,
@@ -34,15 +33,14 @@ def same_partition(first: np.ndarray, second: np.ndarray) -> bool:
     return len(pairs) == np.unique(first).size == np.unique(second).size
 
 
-def dense_reference_labels(a: AffinityMatrix, n_clusters: int, rng_seed: int) -> np.ndarray:
-    """Cluster the bottom eigenvectors of a full dense eigendecomposition of
-    the oracle Laplacian, embedded and seeded as spectral_cluster does."""
+def dense_reference_labels(a: AffinityMatrix, n_clusters: int) -> np.ndarray:
+    """Assign the bottom eigenvectors of a full dense eigendecomposition of
+    the oracle Laplacian by the pivoted-QR rule spectral_cluster uses."""
     lap = normalized_laplacian_reference(a.values.toarray())
     vectors = np.linalg.eigh(lap)[1][:, :n_clusters]
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    embedding = np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
-    return _kmeans(embedding, n_clusters, spectral.KMEANS_RESTARTS,
-                   spectral.KMEANS_MAX_ITERS, rng_seed)
+    pivots = scipy.linalg.qr(vectors.T, pivoting=True, mode="r")[1][:n_clusters]
+    u, _, wt = scipy.linalg.svd(vectors[pivots].T)
+    return np.abs(vectors @ (u @ wt)).argmax(axis=1)
 
 
 def solver_logs(caplog) -> list[str]:
@@ -223,46 +221,36 @@ class TestSpectralCluster:
 
     def test_two_clean_blocks_split_exactly(self):
         a = self.block_affinity([4, 5])
-        labels = spectral_cluster(a, 2, 0)
+        labels = spectral_cluster(a, 2)
         truth = Labels(np.array([0] * 4 + [1] * 5), 2)
         assert accuracy(labels, truth) == 100.0
 
     def test_five_blocks_recovered(self):
         a = self.block_affinity([6, 6, 6, 6, 6])
-        labels = spectral_cluster(a, 5, 3)
+        labels = spectral_cluster(a, 5)
         truth = Labels(np.repeat(np.arange(5), 6), 5)
         assert accuracy(labels, truth) == 100.0
 
     def test_full_pipeline_on_orthogonal_subspaces(self, oracle_dataset):
         x, y = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
-        labels = spectral_cluster(a, 5, 1)
+        labels = spectral_cluster(a, 5)
         assert accuracy(labels, y) == 100.0
 
     def test_deterministic_for_fixed_seed(self, oracle_dataset):
+        # the only seed is LOBPCG's fixed start block; the assignment draws none
         x, _ = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
-        first = spectral_cluster(a, 5, 7)
-        second = spectral_cluster(a, 5, 7)
+        first = spectral_cluster(a, 5)
+        second = spectral_cluster(a, 5)
         assert (first.assignments == second.assignments).all()
-
-    def test_seed_changes_are_isolated(self, oracle_dataset):
-        # different seeds may relabel clusters but must induce the same
-        # partition on clean block data
-        x, y = oracle_dataset
-        a = build_affinity(ssc_omp(x, 8, 1e-6))
-        for seed in (0, 1, 2):
-            labels = spectral_cluster(a, 5, seed)
-            assert accuracy(labels, y) == 100.0
 
     def test_argument_validation(self):
         a = self.block_affinity([4, 5])
-        for args, message in (((1,), "n_clusters must be an integer of at least 2, got 1"),
-                              ((2, -1), "rng_seed must be an integer of at least 0, got -1"),
-                              ((2.5,), "n_clusters must be an integer of at least 2, got 2.5"),
-                              ((2, 0.5), "rng_seed must be an integer of at least 0, got 0.5")):
+        for value, message in ((1, "n_clusters must be an integer of at least 2, got 1"),
+                               (2.5, "n_clusters must be an integer of at least 2, got 2.5")):
             with pytest.raises(ValueError, match=message):
-                spectral_cluster(a, *args)
+                spectral_cluster(a, value)
 
     def test_more_clusters_than_points_rejected(self):
         a = self.block_affinity([2, 2])
@@ -280,31 +268,48 @@ class TestSpectralCluster:
         assert connected_components(a.values)[0] == (1 if noisy else 5)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         if noisy:
-            labels = spectral_cluster(a, 5, 2)
+            labels = spectral_cluster(a, 5)
         else:  # spectral_cluster would label this graph by its components
-            labels = _eigensolver_labels(a, 5, 2, "components=5 isolated=0")
+            labels = _eigensolver_labels(a, 5, "components=5 isolated=0")
         assert solver_logs(caplog)[-1].startswith("eigensolver lobpcg:")
         assert f"components={1 if noisy else 5} isolated=0 " in solver_logs(caplog)[-1]
-        assert same_partition(labels.assignments, dense_reference_labels(a, 5, 2))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 5))
 
-    @pytest.mark.parametrize("failure", ["unconverged", "linalg-error"])
+    @pytest.mark.parametrize("failure", ["unconverged", "linalg-error", "value-error"])
     def test_failed_lobpcg_falls_back_to_dense(self, failure, monkeypatch, caplog):
         def broken_lobpcg(lap, start, **kwargs):
             warnings.warn("not reaching the requested tolerance", UserWarning)
             if failure == "linalg-error":
                 raise np.linalg.LinAlgError("leading minor not positive definite")
+            if failure == "value-error":
+                raise ValueError("eigh has failed in lobpcg postprocessing")
             return np.ones(start.shape[1]), np.linalg.qr(start)[0]
 
         monkeypatch.setattr(spectral, "lobpcg", broken_lobpcg)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = _eigensolver_labels(self.block_affinity([6] * 5), 5, 3,
+            labels = _eigensolver_labels(self.block_affinity([6] * 5), 5,
                                          "components=5 isolated=0")
         logs = solver_logs(caplog)
         assert logs[0].startswith("lobpcg rejected:")
         assert logs[-1].startswith("eigensolver dense-fallback:")
         assert accuracy(labels, Labels(np.repeat(np.arange(5), 6), 5)) == 100.0
+
+    def test_lobpcg_postprocessing_error_falls_back_to_dense(self, caplog):
+        # scipy's lobpcg raises ValueError on this graph: its final eigh
+        # fails. Two small components and 16 isolated vertices.
+        dense = np.zeros((22, 22))
+        for i, j, w in ((2, 7, 2.5), (6, 13, 0.5), (6, 15, 4.0), (15, 20, 1.0)):
+            dense[i, j] = dense[j, i] = w
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        labels = spectral_cluster(affinity_from_dense(dense), 4)
+        logs = solver_logs(caplog)
+        assert logs[0] == ("lobpcg rejected: n=22 k=4 components=18 isolated=16 "
+                           "max residual nan > 1e-06")
+        assert logs[-1].startswith("eigensolver dense-fallback:")
+        assert np.unique(labels.assignments).tolist() == [0, 1, 2, 3]
+        assert labels.assignments[2] == labels.assignments[7]
 
     @pytest.mark.parametrize("sizes, k, path", [
         ([3, 4, 5, 6, 7, 8, 9], 3, "lobpcg"),
@@ -326,9 +331,8 @@ class TestSpectralCluster:
     def test_logs_eigensolver_path_and_residual(self, oracle_dataset, caplog):
         x, _ = oracle_dataset
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), 5, 0,
-                            "components=5 isolated=0")
-        _eigensolver_labels(self.block_affinity([4, 5]), 2, 0, "components=2 isolated=0")
+        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), 5, "components=5 isolated=0")
+        _eigensolver_labels(self.block_affinity([4, 5]), 2, "components=2 isolated=0")
         logs = solver_logs(caplog)
         assert [line.split(":")[0] for line in logs] == [
             "eigensolver lobpcg", "eigensolver dense-small"]
@@ -341,10 +345,10 @@ class TestSpectralCluster:
         x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
         a = build_affinity(ssc_omp(x, 8, 1e-6))
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        labels = spectral_cluster(a, 5, 2)
+        labels = spectral_cluster(a, 5)
         assert solver_logs(caplog) == [
             "eigensolver components: n=200 k=5 components=5 isolated=0"]
-        assert same_partition(labels.assignments, dense_reference_labels(a, 5, 2))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 5))
         assert np.array_equal(labels.assignments, connected_components(a.values)[1])
 
     @pytest.mark.parametrize("sizes, path", [
@@ -356,12 +360,12 @@ class TestSpectralCluster:
         # belongs to it, so the components rule does not hold
         a = self.block_affinity(sizes)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        labels = spectral_cluster(a, 4, 1)
+        labels = spectral_cluster(a, 4)
         logs = solver_logs(caplog)
         assert logs[-1].startswith(f"eigensolver {path}: n={sum(sizes)} k=4 "
                                    "components=4 isolated=1 max residual")
         assert not any(line.startswith("eigensolver components") for line in logs)
-        assert same_partition(labels.assignments, dense_reference_labels(a, 4, 1))
+        assert same_partition(labels.assignments, dense_reference_labels(a, 4))
 
     @pytest.mark.parametrize("sizes, k, paths, counts", [
         ([3, 4, 5, 6, 7, 8, 9], 3, ["lobpcg rejected", "eigensolver dense-fallback"],
@@ -381,36 +385,12 @@ class TestSpectralCluster:
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(2, 8), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
     def test_block_graphs_labeled_by_their_blocks(self, sizes, seed):
+        # spectral_cluster takes the components path here, so the
+        # eigensolver path is asked for the same blocks directly
         a, blocks = block_graph(sizes, seed)
-        k, rng_seed = len(sizes), seed % 7
-        labels = spectral_cluster(a, k, rng_seed)
+        k = len(sizes)
+        labels = spectral_cluster(a, k)
         assert np.array_equal(labels.assignments, blocks)
-        assert same_partition(labels.assignments, dense_reference_labels(a, k, rng_seed))
-
-
-class TestKmeansInternals:
-    def test_empty_cluster_revived(self):
-        # k=3 on points that collapse onto 2 locations: one center loses
-        # all points after the first assignment and has to be reseeded
-        points = np.array([[0.0, 0.0]] * 5 + [[10.0, 0.0]] * 5)
-        rng = np.random.default_rng(0)
-        labels, inertia = _kmeans_single(points, 3, rng, 50)
-        assert np.isfinite(inertia)
-        assert len(np.unique(labels)) >= 2
-
-    def test_restarts_pick_lowest_inertia(self):
-        rng = np.random.default_rng(14)
-        points = np.concatenate(
-            [rng.normal(0, 0.05, (20, 3)), rng.normal(5, 0.05, (20, 3))]
-        )
-        labels = _kmeans(points, 2, 8, 100, 99)
-        first = labels[:20]
-        second = labels[20:]
-        assert len(np.unique(first)) == 1
-        assert len(np.unique(second)) == 1
-        assert first[0] != second[0]
-
-    def test_degenerate_identical_points(self):
-        points = np.zeros((6, 2))
-        labels = _kmeans(points, 2, 3, 20, 0)
-        assert labels.shape == (6,)
+        assert same_partition(labels.assignments, dense_reference_labels(a, k))
+        graph = f"components={k} isolated=0"
+        assert same_partition(_eigensolver_labels(a, k, graph).assignments, blocks)

@@ -55,7 +55,6 @@ INTEGER_ARGUMENTS = {
     "Labels.n_clusters": (lambda v: Labels([0, 1, 2], v), "n_clusters", 1),
     "omp_solve.k": (lambda v: omp_solve(POINTS, np.ones(4), v), "k", 1),
     "spectral_cluster.n_clusters": (lambda v: spectral_cluster(PAIRS, v), "n_clusters", 2),
-    "spectral_cluster.rng_seed": (lambda v: spectral_cluster(PAIRS, 3, v), "rng_seed", 0),
 }
 
 
