@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import linear_sum_assignment
 from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from .data import Labels
 from .omp import CoefMatrix
-from .spectral import AffinityMatrix, normalized_laplacian
+from .spectral import AffinityMatrix, _laplacian
 
 __all__ = [
     "MetricsReport",
@@ -83,7 +83,10 @@ def accuracy(pred: Labels, truth: Labels) -> float:
         raise ValueError(f"label lengths differ: {pred.n} vs {truth.n}")
     table = np.zeros((pred.n_clusters, truth.n_clusters), dtype=np.int64)
     np.add.at(table, (pred.assignments, truth.assignments), 1)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    # +1 gives every pair an edge, so a full matching exists, and adds the
+    # same min(rows, cols) to every full matching's total: the maximum is
+    # the one the table itself has
+    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(table + 1.0), maximize=True)
     return 100.0 * float(table[rows, cols].sum()) / pred.n
 
 
@@ -98,9 +101,10 @@ def _fiedler_value(sub: sparse.csr_array) -> float:
     """
     if sub.shape[0] < 2:
         return 0.0
-    if sparse.csgraph.connected_components(sub, directed=False, return_labels=False) > 1:
+    if connected_components(sub, directed=False, return_labels=False) > 1:
         return 0.0
-    lap = normalized_laplacian(AffinityMatrix(sub)).toarray()
+    # a symmetric slice of a validated affinity is one too
+    lap = _laplacian(sub).toarray()
     value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
     return max(value, 0.0)
 

@@ -84,9 +84,12 @@ def check_eps(eps: float) -> None:
     """Reject a residual threshold that is a ``bool``, negative, nan or
     infinite.
 
-    eps = 0 is valid and runs each pursuit to its budget. The loop tracks
-    the squared residual with ~1e-16 absolute rounding, so any eps below
-    ~1e-8 |target| acts as 0.
+    eps = 0 is valid and never ends a pursuit on eps: each runs to its
+    budget unless a zero-correlation or rank stop comes first. The loop
+    tracks the squared residual with ~1e-16 absolute rounding, so any eps
+    below ~1e-8 |target| gives the supports of eps = 0; only eps = 0 keeps
+    an exact fit, whose tracked residual is rounding of either sign, out of
+    the ``eps`` stop count.
     """
     if isinstance(eps, (bool, np.bool_)) or not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
@@ -260,7 +263,8 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     slot = np.arange(b)  # block position of each live target
     offset = np.arange(b) * n  # flat index of row p in mag
     out = [None] * b
-    eps2 = eps * eps
+    # eps = 0 never stops on eps (see check_eps)
+    eps2 = eps * eps if eps > 0 else -np.inf
     live = b
     t = 0
 

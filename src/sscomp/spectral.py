@@ -1,22 +1,22 @@
 """Affinity construction and normalized spectral clustering.
 
-The self-expression matrix C becomes graph weights A = |C| + |C^T|; the
-segmentation is the graph's connected components when they number exactly
-the clusters asked for, and otherwise comes from a pivoted QR of the bottom
-eigenvectors of the symmetric normalized Laplacian of A.
+The self-expression matrix C becomes graph weights A = |C| + |C^T|. The
+segmentation is a pivoted-QR assignment of the bottom eigenvectors of the
+symmetric normalized Laplacian of A: the null vectors come from the graph's
+connected components, and any others from Lanczos on the Laplacian with
+those null vectors deflated.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, qr, svd
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import lobpcg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .data import Labels
 from .omp import CoefMatrix, frozen_square, save_triplets
@@ -31,14 +31,10 @@ __all__ = [
 
 logger = logging.getLogger("sscomp")
 
-# The residual check on LOBPCG's output: on the normalized Laplacian
+# The residual check on Lanczos's output: on the normalized Laplacian
 # (spectrum in [0, 2]) it keeps the embedding within RESIDUAL_TOL / eigengap
-# of the exact invariant subspace. LOBPCG itself is asked for 100x more:
-# on a multiple eigenvalue 0 its residual block loses rank and it stops
-# early, short of its own tolerance.
+# of the exact invariant subspace.
 RESIDUAL_TOL = 1e-6
-LOBPCG_TOL = 1e-8
-LOBPCG_MAXITER = 200
 START_SEED = 0
 # degrees are summed as dense row blocks of this many float64 entries (2 MB)
 ROW_BLOCK_ENTRIES = 1 << 18
@@ -97,22 +93,29 @@ def normalized_laplacian(a: AffinityMatrix) -> sparse.csr_array:
     every graph; callers that need "disconnected iff eigenvalue 0"
     semantics must treat isolated vertices themselves.
     """
-    w = a.values
-    step = max(1, ROW_BLOCK_ENTRIES // max(a.n, 1))
-    degrees = np.empty(a.n)
-    for i in range(0, a.n, step):
+    return _laplacian(a.values)
+
+
+def _laplacian(w: sparse.csr_array) -> sparse.csr_array:
+    """:func:`normalized_laplacian` of weights ``w`` that are not checked
+    again: square, symmetric, nonnegative and zero on the diagonal, such as
+    an affinity's values or a symmetric index slice of them."""
+    n = w.shape[0]
+    step = max(1, ROW_BLOCK_ENTRIES // max(n, 1))
+    degrees = np.empty(n)
+    for i in range(0, n, step):
         degrees[i:i + step] = w[i:i + step].toarray().sum(axis=1)
     scale = np.zeros_like(degrees)
     positive = degrees > 0
     scale[positive] = 1.0 / np.sqrt(degrees[positive])
-    rows = np.repeat(np.arange(a.n), np.diff(w.indptr))
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
     cols = w.indices
     # w_ij == w_ji exactly, so the mirrored entry needs no transpose
     off = -((scale[rows] * w.data) * scale[cols]
             + (scale[cols] * w.data) * scale[rows]) / 2.0
-    diag = np.arange(a.n)
+    diag = np.arange(n)
     return sparse.csr_array(
-        (np.r_[np.ones(a.n), off], (np.r_[diag, rows], np.r_[diag, cols])), shape=w.shape
+        (np.r_[np.ones(n), off], (np.r_[diag, rows], np.r_[diag, cols])), shape=w.shape
     )
 
 
@@ -121,99 +124,99 @@ def _max_residual(lap: sparse.csr_array, values: np.ndarray, vectors: np.ndarray
     return float(np.linalg.norm(lap @ vectors - vectors * values, axis=0).max())
 
 
-def _bottom_eigenvectors(lap: sparse.csr_array, k: int, graph: str) -> np.ndarray:
-    """Eigenvectors of the k smallest eigenvalues of the Laplacian.
+def _embedding(a: AffinityMatrix, k: int) -> np.ndarray:
+    """Orthonormal eigenvectors of the k smallest normalized-Laplacian
+    eigenvalues, as the columns of an n x k matrix.
 
-    Block LOBPCG from a fixed-seed random start block, kept when every
-    column's residual ||L v - lambda v|| is at most RESIDUAL_TOL. A block
-    method, because eigenvalue 0 has one eigenvector per connected
-    component and is often exactly k-fold; single-vector Lanczos misses
-    copies of such an eigenvalue. Dense ``eigh`` runs instead below 5k
-    vertices, where LOBPCG cannot run ("dense-small"), and when LOBPCG
-    raises or fails the residual check ("dense-fallback"). It runs only for
-    graphs that ``spectral_cluster`` does not label by their components;
-    ``graph`` (their component and isolated-vertex counts) goes into every
-    DEBUG line.
+    One ``connected_components`` pass gives the null vectors: for each
+    component S of two or more vertices, D^{1/2} 1_S / ||D^{1/2} 1_S|| is an
+    eigenvector for eigenvalue 0 (von Luxburg 2007, Prop. 4). A vertex of
+    degree 0 is a component of its own with L_ii = 1 and gives none. The
+    null vectors of the (at most) k largest such components are taken, ties
+    going to the component with the lower first vertex. When there are k of
+    them they are the embedding, with no Laplacian formed (DEBUG path
+    "null-space"); the points of any other component then have zero rows.
+
+    Otherwise U, the c < k null vectors, spans the whole null space, and the
+    other k - c eigenvectors are the top ones of v -> 2v - Lv - 2 U U^T v:
+    2I - L turns the bottom of L's spectrum into the top, and the deflation
+    sends U's eigenvalue 2 to 0. ``eigsh`` (implicitly restarted Lanczos,
+    ARPACK) finds them from a fixed-seed start vector, so repeated calls
+    give the same basis even of a multiple eigenvalue, and the result is
+    kept when every column's residual ||L v - lambda v|| is at most
+    RESIDUAL_TOL ("lanczos"). Dense ``eigh`` of L runs instead below 5k
+    vertices ("dense-small"), and when ARPACK raises or the residual check
+    fails ("dense-fallback"). Every DEBUG line names the graph by its
+    component and isolated-vertex counts.
     """
-    n = lap.shape[0]
+    count, components = connected_components(a.values, directed=False)
+    sizes = np.bincount(components)
+    graph = f"components={count} isolated={int((sizes == 1).sum())}"
+    kept = np.argsort(-sizes, kind="stable")[:k]
+    null = (components[:, None] == kept[sizes[kept] > 1]) * np.sqrt(a.values.sum(axis=1))[:, None]
+    null /= np.linalg.norm(null, axis=0)
+    c = null.shape[1]
+    if c == k:
+        logger.debug("eigensolver null-space: n=%d k=%d %s", a.n, k, graph)
+        return null
+    lap = normalized_laplacian(a)
     path = "dense-small"
-    if n >= 5 * k:
-        start = np.random.default_rng(START_SEED).standard_normal((n, k))
+    if a.n >= 5 * k:
+        deflated = LinearOperator(lap.shape, dtype=np.float64,
+                                  matvec=lambda v: 2.0 * v - lap @ v - 2.0 * (null @ (null.T @ v)))
+        start = np.random.default_rng(START_SEED).standard_normal(a.n)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # non-convergence is judged below
-                values, vectors = lobpcg(
-                    lap, start, tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER, largest=False
-                )
-            residual = _max_residual(lap, values, vectors)
-        except (np.linalg.LinAlgError, ValueError):
-            # ValueError: "eigh has failed in lobpcg postprocessing"
+            top, rest = eigsh(deflated, k - c, which="LA", v0=start)
+            residual = _max_residual(lap, 2.0 - top, rest)  # U's columns are exact
+        except ArpackError:
             residual = np.nan
         if residual <= RESIDUAL_TOL:
-            logger.debug("eigensolver lobpcg: n=%d k=%d %s max residual %.3g",
-                         n, k, graph, residual)
-            return vectors
+            logger.debug("eigensolver lanczos: n=%d k=%d %s max residual %.3g",
+                         a.n, k, graph, residual)
+            return np.column_stack([null, rest])
         path = "dense-fallback"
-        logger.debug("lobpcg rejected: n=%d k=%d %s max residual %.3g > %g",
-                     n, k, graph, residual, RESIDUAL_TOL)
+        logger.debug("lanczos rejected: n=%d k=%d %s max residual %.3g > %g",
+                     a.n, k, graph, residual, RESIDUAL_TOL)
     try:
         values, vectors = eigh(lap.toarray(), subset_by_index=[0, k - 1])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Laplacian eigendecomposition failed: {exc}") from exc
     logger.debug("eigensolver %s: n=%d k=%d %s max residual %.3g",
-                 path, n, k, graph, _max_residual(lap, values, vectors))
+                 path, a.n, k, graph, _max_residual(lap, values, vectors))
     return vectors
-
-
-def _eigensolver_labels(a: AffinityMatrix, n_clusters: int, graph: str) -> Labels:
-    """Spectral clustering proper, for graphs their components do not label.
-
-    Embedding: the n x k matrix V of eigenvectors of the k = n_clusters
-    smallest eigenvalues of the normalized Laplacian (see
-    _bottom_eigenvectors, which logs ``graph``). Assignment: the CPQR rule
-    of Damle, Minden & Ying ("Simple, direct and efficient multi-way
-    spectral clustering", 2019). A QR of V^T with column pivoting picks k
-    representative points; the orthogonal polar factor Q = U W^T of their
-    rows (U S W^T = svd of V[pivots]^T) turns them toward the axes, and each
-    point takes the axis of its largest |V Q| entry. No seed and no
-    restarts, O(n k^2), and up to ties the same labels for V and V R with R
-    orthogonal, so LOBPCG and dense ``eigh`` agree wherever their
-    eigenspaces do. Every graph tried gave all k ids; ``Labels`` refuses a
-    result that lacks one.
-    """
-    vectors = _bottom_eigenvectors(normalized_laplacian(a), n_clusters, graph)
-    pivots = qr(vectors.T, pivoting=True, mode="r")[1][:n_clusters]
-    u, _, wt = svd(vectors[pivots].T)
-    assignments = np.abs(vectors @ (u @ wt)).argmax(axis=1)
-    return Labels(assignments, n_clusters)
 
 
 def spectral_cluster(a: AffinityMatrix, n_clusters: int) -> Labels:
     """Segment the affinity graph into ``n_clusters`` groups, an integer of
     at least 2 and at most the point count.
 
-    Components first: one ``connected_components`` pass. When the graph has
-    exactly n_clusters components and no isolated vertex, the components are
-    the segmentation, ids numbered by each component's lowest point index
-    (DEBUG path "components"). The bottom eigenspace of the normalized
-    Laplacian is then spanned by the vectors D^{1/2} 1_S of the components
-    S (von Luxburg 2007, Prop. 4): in any orthonormal basis of it, the rows
-    of one component are multiples of one unit vector, those of different
-    components are orthogonal, and the pivoted-QR assignment could only
-    return the same partition. Any other graph,
-    including one with an isolated vertex (its own component, with L_ii = 1
-    and no eigenvalue 0), goes to _eigensolver_labels. Deterministic: no
-    stage draws a seed of its own.
+    Embedding: the n x k matrix V of eigenvectors of the k = n_clusters
+    smallest eigenvalues of the normalized Laplacian (see _embedding, which
+    logs its path). Assignment: the CPQR rule of Damle, Minden & Ying
+    ("Simple, direct and efficient multi-way spectral clustering", 2019). A
+    QR of V^T with column pivoting picks k representative points; the
+    orthogonal polar factor Q = U W^T of their rows (U S W^T = svd of
+    V[pivots]^T) turns them toward the axes, and each point takes the axis
+    of its largest |V Q| entry. No seed and no restarts, O(n k^2), and up to
+    ties the same labels for V and V R with R orthogonal, so Lanczos and
+    dense ``eigh`` agree wherever their eigenspaces do. Every graph tried
+    gave all k ids; ``Labels`` refuses a result that lacks one.
+
+    Ids are numbered in the order of each cluster's lowest point. A graph of
+    exactly k components, none an isolated vertex, is therefore labeled by
+    its components, numbered as ``connected_components`` numbers them: each
+    null vector is one component's rows, so every pivot lies in another
+    component and Q permutes the axes. With more than k components of two
+    or more vertices, the points outside the k largest have zero rows, and
+    a zero row takes the first axis: all of them join that axis's cluster.
+    Deterministic: no stage draws a seed of its own.
     """
     check_integer(n_clusters, "n_clusters", 2)
     if n_clusters > a.n:
         raise ValueError(f"cannot split {a.n} points into {n_clusters} clusters")
-    # scipy labels components in order of their lowest vertex; with a zero
-    # diagonal, a component of one vertex is exactly a vertex of degree 0
-    count, components = connected_components(a.values, directed=False)
-    isolated = int((np.bincount(components) == 1).sum())
-    graph = f"components={count} isolated={isolated}"
-    if count == n_clusters and not isolated:
-        logger.debug("eigensolver components: n=%d k=%d %s", a.n, n_clusters, graph)
-        return Labels(components, count)
-    return _eigensolver_labels(a, n_clusters, graph)
+    vectors = _embedding(a, n_clusters)
+    pivots = qr(vectors.T, pivoting=True, mode="r")[1][:n_clusters]
+    u, _, wt = svd(vectors[pivots].T)
+    axes = np.abs(vectors @ (u @ wt)).argmax(axis=1)
+    _, first, ids = np.unique(axes, return_index=True, return_inverse=True)
+    return Labels(np.argsort(np.argsort(first))[ids], n_clusters)

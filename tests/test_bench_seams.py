@@ -28,8 +28,9 @@ def test_every_traced_name_is_reached(tmp_path, capsys):
             report, _ = experiment.run_trial_detailed(
                 dataclasses.replace(cfg, method=method), 0, data=data)
             experiment.write_trial_json(report, tmp_path / f"{method}.json")
-        # the clean graphs are labeled by their components; noise connects
-        # the graph, so the Laplacian and eigensolver run on this one
+        # the clean graphs are embedded by their components' null vectors;
+        # noise connects the graph, so the Laplacian and eigensolver run on
+        # this one
         experiment.run_trial_detailed(dataclasses.replace(cfg, noise_sigma=0.5), 0, data=data)
     fired = {span["name"] for span in tracer.spans}
     assert sorted(set(TRACE) - fired) == []

@@ -610,6 +610,16 @@ class TestAdaptiveDriver:
         counts = self.stop_log(caplog, x, KArray.uniform(budget, 8), 1e-6)
         assert counts == {"eps": 8, "budget": 0, "zero_correlation": 0, "rank": 0}
 
+    @pytest.mark.parametrize("budget, stop", [(3, "budget"), (4, "zero_correlation")])
+    def test_exact_fit_at_eps_zero_is_no_eps_stop(self, caplog, budget, stop):
+        # the exact fits above, with eps = 0: their tracked squared residual
+        # is ~1e-17 of either sign, and must not decide the stop reason
+        rng = np.random.default_rng(19)
+        basis = random_orthogonal(10, 20)[:, :3]
+        x = normalize_columns(DataMatrix(basis @ rng.standard_normal((3, 8))))
+        counts = self.stop_log(caplog, x, KArray.uniform(budget, 8), 0.0)
+        assert counts == {**dict.fromkeys(STOPS, 0), stop: 8}
+
     @pytest.mark.parametrize("spec, sigma, digests", [
         (SyntheticSpec(4, 9, 2016, 32, 1, orthogonal=False), 0.5,
          ("4e8370a702c4595fc234421cc78341dfb015aaaa", "d2cf19c74ce4b3021e1722835de374934121a38a")),

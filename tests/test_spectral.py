@@ -1,6 +1,5 @@
 import logging
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +9,14 @@ from hypothesis import strategies as st
 from oracles import normalized_laplacian_reference
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from sscomp import Labels, SyntheticSpec, add_gaussian_noise, generate_synthetic, spectral
 from sscomp.metrics import accuracy
 from sscomp.omp import CoefMatrix, ssc_omp
 from sscomp.spectral import (
     AffinityMatrix,
-    _eigensolver_labels,
+    _embedding,
     build_affinity,
     normalized_laplacian,
     spectral_cluster,
@@ -41,6 +41,16 @@ def dense_reference_labels(a: AffinityMatrix, n_clusters: int) -> np.ndarray:
     pivots = scipy.linalg.qr(vectors.T, pivoting=True, mode="r")[1][:n_clusters]
     u, _, wt = scipy.linalg.svd(vectors[pivots].T)
     return np.abs(vectors @ (u @ wt)).argmax(axis=1)
+
+
+def synthetic_affinity(noisy: bool) -> AffinityMatrix:
+    """Five random 5-dim subspaces in R^50, 40 points each: clean, the graph
+    has exactly five components, so eigenvalue 0 is 5-fold; noisy, it is one
+    component with a small eigengap."""
+    x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
+    if noisy:
+        x = add_gaussian_noise(x, 0.5, 0.05, rng_seed=4)
+    return build_affinity(ssc_omp(x, 8, 1e-6))
 
 
 def solver_logs(caplog) -> list[str]:
@@ -238,7 +248,8 @@ class TestSpectralCluster:
         assert accuracy(labels, y) == 100.0
 
     def test_deterministic_for_fixed_seed(self, oracle_dataset):
-        # the only seed is LOBPCG's fixed start block; the assignment draws none
+        # the only seed is Lanczos's fixed start vector, which this clean graph
+        # does not reach; the assignment draws none
         x, _ = oracle_dataset
         a = build_affinity(ssc_omp(x, 8, 1e-6))
         first = spectral_cluster(a, 5)
@@ -257,124 +268,157 @@ class TestSpectralCluster:
         with pytest.raises(ValueError, match="clusters"):
             spectral_cluster(a, 5)
 
-    @pytest.mark.parametrize("noisy", [False, True], ids=["k-components", "connected"])
-    def test_lobpcg_matches_dense_reference(self, noisy, caplog):
-        # clean data: exactly n_clusters components, so eigenvalue 0 is
-        # 5-fold; noisy data: one component with a small eigengap
-        x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
-        if noisy:
-            x = add_gaussian_noise(x, 0.5, 0.05, rng_seed=4)
-        a = build_affinity(ssc_omp(x, 8, 1e-6))
+    @pytest.mark.parametrize("noisy, path", [(False, "null-space"), (True, "lanczos")],
+                             ids=["null-space", "lanczos"])
+    def test_embedding_matches_dense_reference(self, noisy, path, caplog):
+        a = synthetic_affinity(noisy)
         assert connected_components(a.values)[0] == (1 if noisy else 5)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        if noisy:
-            labels = spectral_cluster(a, 5)
-        else:  # spectral_cluster would label this graph by its components
-            labels = _eigensolver_labels(a, 5, "components=5 isolated=0")
-        assert solver_logs(caplog)[-1].startswith("eigensolver lobpcg:")
-        assert f"components={1 if noisy else 5} isolated=0 " in solver_logs(caplog)[-1]
+        labels = spectral_cluster(a, 5)
+        assert solver_logs(caplog)[-1].startswith(f"eigensolver {path}:")
+        assert f"components={1 if noisy else 5} isolated=0" in solver_logs(caplog)[-1]
         assert same_partition(labels.assignments, dense_reference_labels(a, 5))
+        assert np.array_equal(spectral_cluster(a, 5).assignments, labels.assignments)
 
-    @pytest.mark.parametrize("failure", ["unconverged", "linalg-error", "value-error"])
-    def test_failed_lobpcg_falls_back_to_dense(self, failure, monkeypatch, caplog):
-        def broken_lobpcg(lap, start, **kwargs):
-            warnings.warn("not reaching the requested tolerance", UserWarning)
-            if failure == "linalg-error":
-                raise np.linalg.LinAlgError("leading minor not positive definite")
-            if failure == "value-error":
-                raise ValueError("eigh has failed in lobpcg postprocessing")
-            return np.ones(start.shape[1]), np.linalg.qr(start)[0]
-
-        monkeypatch.setattr(spectral, "lobpcg", broken_lobpcg)
+    @pytest.mark.parametrize("graph, k", [("cycle", 3), ("ring-of-cliques", 5)])
+    def test_lanczos_finds_both_copies_of_a_double_eigenvalue(self, graph, k, caplog):
+        # a 40-cycle's eigenvalues 1 - cos(2 pi j / 40) are double for j = 1..19;
+        # five 6-cliques joined in a ring by single edges have two double
+        # eigenvalues right above 0. k stops at the end of a pair, so the
+        # bottom k-eigenspace is well defined
+        if graph == "cycle":
+            dense = np.roll(np.eye(40), 1, axis=1)
+        else:
+            dense = np.kron(np.eye(5), np.ones((6, 6)) - np.eye(6))
+            for c in range(5):
+                dense[6 * c + 5, (6 * c + 6) % 30] = 1.0
+        dense = dense + dense.T
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            labels = _eigensolver_labels(self.block_affinity([6] * 5), 5,
-                                         "components=5 isolated=0")
-        logs = solver_logs(caplog)
-        assert logs[0].startswith("lobpcg rejected:")
-        assert logs[-1].startswith("eigensolver dense-fallback:")
-        assert accuracy(labels, Labels(np.repeat(np.arange(5), 6), 5)) == 100.0
+        vectors = _embedding(affinity_from_dense(dense), k)
+        assert solver_logs(caplog)[-1].startswith("eigensolver lanczos:")
+        lap = normalized_laplacian_reference(dense)
+        values, reference = np.linalg.eigh(lap)
+        assert values[k] - values[k - 1] > 1e-3
+        np.testing.assert_allclose(np.linalg.eigvalsh(vectors.T @ lap @ vectors), values[:k],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vectors @ vectors.T, reference[:, :k] @ reference[:, :k].T,
+                                   rtol=0, atol=1e-10)
 
-    def test_lobpcg_postprocessing_error_falls_back_to_dense(self, caplog):
-        # scipy's lobpcg raises ValueError on this graph: its final eigh
-        # fails. Two small components and 16 isolated vertices.
+    @pytest.mark.parametrize("failure", ["no-convergence", "arpack-error", "wrong-vectors"])
+    def test_failed_lanczos_falls_back_to_dense(self, failure, monkeypatch, caplog):
+        # three 7-cliques and an isolated vertex, asked for 4 clusters: three
+        # null vectors, and Lanczos is asked for the fourth vector
+        def broken_eigsh(operator, k, **kwargs):
+            n = operator.shape[0]
+            if failure == "no-convergence":
+                raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                          np.ones(0), np.ones((n, 0)))
+            if failure == "arpack-error":
+                raise ArpackError(-9999)
+            return np.ones(k), np.linalg.qr(np.ones((n, k)))[0]
+
+        monkeypatch.setattr(spectral, "eigsh", broken_eigsh)
+        caplog.set_level(logging.DEBUG, logger="sscomp")
+        labels = spectral_cluster(self.block_affinity([7, 1, 7, 7]), 4)
+        logs = solver_logs(caplog)
+        assert logs[0].startswith("lanczos rejected: n=22 k=4 components=4 isolated=1 ")
+        assert logs[-1].startswith("eigensolver dense-fallback:")
+        assert accuracy(labels, Labels(np.repeat(np.arange(4), [7, 1, 7, 7]), 4)) == 100.0
+
+    def test_many_isolated_vertices_take_lanczos(self, caplog):
+        # two small components and 16 isolated vertices: beyond the two null
+        # vectors, Lanczos is asked for eigenvalue 0.85 and one copy of
+        # eigenvalue 1, which is 16-fold (one vector per isolated vertex)
         dense = np.zeros((22, 22))
         for i, j, w in ((2, 7, 2.5), (6, 13, 0.5), (6, 15, 4.0), (15, 20, 1.0)):
             dense[i, j] = dense[j, i] = w
         caplog.set_level(logging.DEBUG, logger="sscomp")
         labels = spectral_cluster(affinity_from_dense(dense), 4)
         logs = solver_logs(caplog)
-        assert logs[0] == ("lobpcg rejected: n=22 k=4 components=18 isolated=16 "
-                           "max residual nan > 1e-06")
-        assert logs[-1].startswith("eigensolver dense-fallback:")
+        assert len(logs) == 1
+        assert logs[0].startswith("eigensolver lanczos: n=22 k=4 components=18 isolated=16 ")
         assert np.unique(labels.assignments).tolist() == [0, 1, 2, 3]
         assert labels.assignments[2] == labels.assignments[7]
 
-    @pytest.mark.parametrize("sizes, k, path", [
-        ([3, 4, 5, 6, 7, 8, 9], 3, "lobpcg"),
-        ([3] * 7, 5, "dense-small"),
-    ])
-    def test_more_components_than_clusters(self, sizes, k, path, caplog):
-        # eigenvalue 0 has more eigenvectors than are taken; any basis of
-        # that space maps a whole component to one embedded point
+    @pytest.mark.parametrize("sizes, k", [([3, 4, 5, 6, 7, 8, 9], 3), ([3] * 7, 5)])
+    def test_more_components_than_clusters(self, sizes, k, caplog):
+        # eigenvalue 0 has more eigenvectors than are taken; each taken null
+        # vector maps a whole component to one embedded point, and the rest
+        # have zero rows
         a = self.block_affinity(sizes)
         component = np.repeat(np.arange(len(sizes)), sizes)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         first = spectral_cluster(a, k).assignments
         second = spectral_cluster(a, k).assignments
-        assert solver_logs(caplog)[-1].startswith(f"eigensolver {path}:")
+        assert solver_logs(caplog)[-1].startswith("eigensolver null-space:")
         assert np.array_equal(first, second)
         for c in range(len(sizes)):
             assert np.unique(first[component == c]).size == 1
 
-    def test_logs_eigensolver_path_and_residual(self, oracle_dataset, caplog):
-        x, _ = oracle_dataset
+    def test_components_outside_the_largest_k_get_zero_rows(self):
+        # with more than k components of two or more vertices, the embedding
+        # is the null vectors D^(1/2) 1_S / |D^(1/2) 1_S| of the k largest,
+        # ties going to the lower first vertex; every other point has a zero
+        # row, takes the first axis, and so joins one of those k clusters
+        sizes = [3, 9, 8, 5, 8]
+        a = self.block_affinity(sizes)
+        component = np.repeat(np.arange(len(sizes)), sizes)
+        expected = np.stack([component == 1, component == 2], axis=1) / np.sqrt([9.0, 8.0])
+        np.testing.assert_allclose(_embedding(a, 2), expected, rtol=0, atol=1e-15)
+        labels = spectral_cluster(a, 2).assignments
+        kept = np.isin(component, [1, 2])
+        assert labels[component == 1][0] != labels[component == 2][0]
+        assert np.unique(labels[~kept]).size == 1
+        for c in range(len(sizes)):
+            assert np.unique(labels[component == c]).size == 1
+
+    def test_logs_eigensolver_path_and_residual(self, caplog):
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        _eigensolver_labels(build_affinity(ssc_omp(x, 8, 1e-6)), 5, "components=5 isolated=0")
-        _eigensolver_labels(self.block_affinity([4, 5]), 2, "components=2 isolated=0")
+        spectral_cluster(synthetic_affinity(noisy=True), 5)
+        spectral_cluster(self.block_affinity([1, 4, 5]), 3)
         logs = solver_logs(caplog)
         assert [line.split(":")[0] for line in logs] == [
-            "eigensolver lobpcg", "eigensolver dense-small"]
+            "eigensolver lanczos", "eigensolver dense-small"]
         for line in logs:
             residual = float(re.search(r"max residual (\S+)", line).group(1))
             assert 0.0 <= residual <= spectral.RESIDUAL_TOL
 
     def test_clean_subspaces_labeled_by_components(self, caplog):
-        # the graph of test_lobpcg_matches_dense_reference[k-components]
-        x, _ = generate_synthetic(SyntheticSpec(5, 5, 50, 40, rng_seed=4, orthogonal=False))
-        a = build_affinity(ssc_omp(x, 8, 1e-6))
+        # the graph of test_embedding_matches_dense_reference[null-space]
+        a = synthetic_affinity(noisy=False)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         labels = spectral_cluster(a, 5)
         assert solver_logs(caplog) == [
-            "eigensolver components: n=200 k=5 components=5 isolated=0"]
+            "eigensolver null-space: n=200 k=5 components=5 isolated=0"]
         assert same_partition(labels.assignments, dense_reference_labels(a, 5))
         assert np.array_equal(labels.assignments, connected_components(a.values)[1])
 
     @pytest.mark.parametrize("sizes, path", [
-        ([7, 1, 7, 7], "lobpcg"),
+        ([7, 1, 7, 7], "lanczos"),
         ([1, 6, 6, 6], "dense-small"),
     ])
     def test_isolated_vertex_takes_eigensolver_path(self, sizes, path, caplog):
         # K components, but one is a vertex of degree 0: no eigenvalue 0
-        # belongs to it, so the components rule does not hold
+        # belongs to it, so its vector comes from an eigensolver
         a = self.block_affinity(sizes)
         caplog.set_level(logging.DEBUG, logger="sscomp")
         labels = spectral_cluster(a, 4)
         logs = solver_logs(caplog)
         assert logs[-1].startswith(f"eigensolver {path}: n={sum(sizes)} k=4 "
                                    "components=4 isolated=1 max residual")
-        assert not any(line.startswith("eigensolver components") for line in logs)
+        assert not any(line.startswith("eigensolver null-space") for line in logs)
         assert same_partition(labels.assignments, dense_reference_labels(a, 4))
 
     @pytest.mark.parametrize("sizes, k, paths, counts", [
-        ([3, 4, 5, 6, 7, 8, 9], 3, ["lobpcg rejected", "eigensolver dense-fallback"],
-         "components=7 isolated=0"),
-        ([3] * 7, 5, ["eigensolver dense-small"], "components=7 isolated=0"),
-        ([4, 5], 2, ["eigensolver components"], "components=2 isolated=0"),
+        ([3, 4, 5, 6, 7, 8, 9], 3, ["eigensolver null-space"], "components=7 isolated=0"),
+        ([3] * 7, 5, ["eigensolver null-space"], "components=7 isolated=0"),
+        ([4, 5], 2, ["eigensolver null-space"], "components=2 isolated=0"),
+        ([7, 1, 7, 7], 4, ["lanczos rejected", "eigensolver dense-fallback"],
+         "components=4 isolated=1"),
+        ([1, 6, 6, 6], 4, ["eigensolver dense-small"], "components=4 isolated=1"),
     ])
     def test_every_line_reports_the_graph(self, sizes, k, paths, counts, monkeypatch, caplog):
-        monkeypatch.setattr(spectral, "RESIDUAL_TOL", -1.0)  # reject every LOBPCG run
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", -1.0)  # reject every Lanczos run
         caplog.set_level(logging.DEBUG, logger="sscomp")
         spectral_cluster(self.block_affinity(sizes), k)
         logs = solver_logs(caplog)
@@ -385,12 +429,8 @@ class TestSpectralCluster:
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(2, 8), min_size=2, max_size=6), seed=st.integers(0, 2**32 - 1))
     def test_block_graphs_labeled_by_their_blocks(self, sizes, seed):
-        # spectral_cluster takes the components path here, so the
-        # eigensolver path is asked for the same blocks directly
         a, blocks = block_graph(sizes, seed)
         k = len(sizes)
         labels = spectral_cluster(a, k)
         assert np.array_equal(labels.assignments, blocks)
         assert same_partition(labels.assignments, dense_reference_labels(a, k))
-        graph = f"components={k} isolated=0"
-        assert same_partition(_eigensolver_labels(a, k, graph).assignments, blocks)
