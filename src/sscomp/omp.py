@@ -162,15 +162,6 @@ class CoefMatrix:
         coo = self.matrix.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
 
-    def column(self, i: int):
-        """(support indices, coefficient values) of column i."""
-        m = self.matrix
-        lo, hi = m.indptr[i], m.indptr[i + 1]
-        return m.indices[lo:hi].astype(np.int64), m.data[lo:hi].copy()
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
     def save_csv(self, path) -> None:
         """Dump as triplet CSV with a header: row, col, value."""
         save_triplets(path, *self.triplets())
@@ -231,11 +222,14 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     therefore never takes a 1/w above 1e6, and a near-duplicate of a
     selected atom gets no weight.
 
-    Returns one (support, coefficients, stop) per target, in block order,
-    entries in selection order; ``stop`` is the one of :data:`STOPS` that
-    ended its pursuit: ``"eps"`` when the residual fell below ``eps``
-    (checked first), ``"budget"`` when its cap was reached,
-    ``"zero_correlation"`` when no atom correlates above
+    Returns three arrays in block order, with cap the largest budget:
+    ``support``, int64 (b, cap), each target's atoms in selection order;
+    ``coef``, float64 (b, cap), their coefficients, 0.0 past the target's
+    last atom and wherever a coefficient was dropped as dust (a padding
+    slot's support entry is atom 0); and ``stop``, int8 (b,), 1 + the index
+    in :data:`STOPS` of the reason that ended the pursuit: ``"eps"`` when
+    the residual fell below ``eps`` (checked first), ``"budget"`` when its
+    cap was reached, ``"zero_correlation"`` when no atom correlates above
     ``ZERO_CORRELATION`` with the residual, and ``"rank"`` when the best
     atom lies within ``RANK_TOL`` of the active span (it is not added). The
     squared residual is tracked as |y|^2 minus the steps' squares, with
@@ -262,22 +256,26 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
     caps = np.array(caps)
     slot = np.arange(b)  # block position of each live target
     offset = np.arange(b) * n  # flat index of row p in mag
-    out = [None] * b
+    support = np.zeros((b, cap), dtype=np.int64)
+    coef = np.zeros((b, cap))
+    stop = np.zeros(b, dtype=np.int8)
     # eps = 0 never stops on eps (see check_eps)
     eps2 = eps * eps if eps > 0 else -np.inf
     live = b
     t = 0
 
     def retire(reason, filled):
-        """Emit every live target with a nonzero reason (1 + its index in
-        STOPS), then move the others, with their first ``filled`` raw rows,
-        to the front; returns the others' rows before the move."""
+        """Write out every live target with a nonzero reason (1 + its index
+        in STOPS), then move the others, with their first ``filled`` raw
+        rows, to the front; returns the others' rows before the move."""
         nonlocal live
         done = np.flatnonzero(reason)
         coefs = -weights[done, 1:t + 1]
-        keep = np.abs(coefs) > dust[done, None]
-        for p, c, k in zip(done, coefs, keep):
-            out[slot[p]] = (taken[p, 1:t + 1][k], c[k], STOPS[reason[p] - 1])
+        coefs[np.abs(coefs) <= dust[done, None]] = 0.0
+        at = slot[done]
+        support[at, :t] = taken[done, 1:t + 1]
+        coef[at, :t] = coefs
+        stop[at] = reason[done]
         stay = np.flatnonzero(reason == 0)
         live = stay.size
         raw[:filled, :live] = raw[:filled, stay]
@@ -326,7 +324,7 @@ def _pursue(rows, n: int, exclude: np.ndarray, caps: np.ndarray, eps: float):
         res2[:live] -= step * step
         weights[:live, 1:t + 2] -= inv[:live, :t + 1, t] * step[:, None]
         t += 1
-    return out
+    return support, coef, stop
 
 
 def omp_solve(dictionary: DataMatrix, target: np.ndarray, k: int,
@@ -372,9 +370,10 @@ def omp_solve(dictionary: DataMatrix, target: np.ndarray, k: int,
     def rows(j, out):
         np.matmul(atoms[:, j].T, atoms, out=out)
 
-    [(support, values, _)] = _pursue(
-        rows, n + 1, np.array([n]), np.array([min(k, n)]), eps / norm)
-    coefs[support] = values * norm
+    support, values, _ = _pursue(rows, n + 1, np.array([n]), np.array([min(k, n)]), eps / norm)
+    # a padding slot adds 0.0 to atom 0, where a plain scatter would
+    # overwrite atom 0's own coefficient
+    np.add.at(coefs, support[0], values[0] * norm)
     return coefs
 
 
@@ -406,11 +405,13 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
     blocks run to their largest budget and compact on nearly every step).
     Each block holds its own arrays, ~BLOCK * (budget + 2) * N floats
     besides the Gram, and BLOCK * budget^2 for R^-1 (5.1 MB for the
-    fixed budget 8 at N=2000). C is
-    built straight into compressed sparse columns: column i holds point
-    i's support in selection order, which :class:`CoefMatrix` sorts. One
-    DEBUG line on the ``sscomp`` logger gives the point count, nnz and how
-    many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
+    fixed budget 8 at N=2000). The blocks' results are gathered into N x
+    (largest budget) support and coefficient arrays, 16 bytes per entry
+    (256 kB for the fixed budget 8 at N=2000), and C is built from them
+    straight into compressed sparse columns: column i holds point i's
+    nonzero coefficients in selection order, which :class:`CoefMatrix`
+    sorts. One DEBUG line on the ``sscomp`` logger gives the point count,
+    nnz and how many points stopped for each reason in :data:`STOPS`. ``eps`` must be finite and
     nonnegative; below ~1e-8 it acts as 0 (see :func:`check_eps`). Without a
     passed Gram, the data's columns must be unit.
     """
@@ -420,17 +421,17 @@ def ssc_omp_adaptive(x: DataMatrix, k_array: KArray, eps: float = 1e-6,
             f"budget vector covers {k_array.n} points, data has {x.n}"
         )
     gram = checked_gram(x, gram)
-    found = [None] * x.n
+    support = np.zeros((x.n, k_array.sizes.max()), dtype=np.int64)
+    coef = np.zeros(support.shape)
+    stop = np.empty(x.n, dtype=np.int8)
     order = np.argsort(k_array.sizes, kind="stable")
     for lo in range(0, x.n, BLOCK):
         block = order[lo:lo + BLOCK]
-        solved = _pursue(gram.rows, gram.n, block, k_array.sizes[block], eps)
-        for i, result in zip(block, solved):
-            found[i] = result
-    supports, values, stops = zip(*found)
-    indptr = np.cumsum([0] + [s.size for s in supports])
+        s, c, stop[block] = _pursue(gram.rows, gram.n, block, k_array.sizes[block], eps)
+        support[block, :s.shape[1]], coef[block, :c.shape[1]] = s, c
+    kept = coef != 0
+    indptr = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    counts = np.bincount(stop, minlength=len(STOPS) + 1)[1:]
     logger.debug("self-expression: %d points, nnz %d, stops %s", x.n, indptr[-1],
-                 " ".join(f"{name}={stops.count(name)}" for name in STOPS))
-    return CoefMatrix(sparse.csc_array(
-        (np.concatenate(values), np.concatenate(supports), indptr), shape=(x.n, x.n)
-    ))
+                 " ".join(f"{name}={count}" for name, count in zip(STOPS, counts)))
+    return CoefMatrix(sparse.csc_array((coef[kept], support[kept], indptr), shape=(x.n, x.n)))

@@ -33,3 +33,11 @@ def unit_matrix():
 def random_orthogonal(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def column(coefs, i: int):
+    """(support indices, coefficient values) of column i of a CoefMatrix,
+    read from its compressed sparse columns."""
+    m = coefs.matrix
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    return m.indices[lo:hi], m.data[lo:hi]

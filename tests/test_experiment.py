@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import column
 
 from sscomp import DataMatrix, Labels, SyntheticSpec, experiment, generate_synthetic
 from sscomp.data import save_csv, save_npz
@@ -328,7 +329,7 @@ class TestRunTrial:
         assert 1 <= budgets.min() and budgets.max() <= n - 2
         coefs = seen["ssc_omp_adaptive" if method == "adaptive-omp" else "ssc_omp"]
         for i in range(n):
-            support, _ = coefs.column(i)
+            support, _ = column(coefs, i)
             assert support.size <= budgets[i]
             assert i not in support
         assert 0.5 <= report.sea <= 1.0

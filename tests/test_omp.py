@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import random_orthogonal
+from conftest import column, random_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import omp_reference
@@ -38,8 +38,10 @@ def pursue_one(atoms, target, budget, eps, exclude=None, gram=None):
             gram.take(j, axis=0, out=out)
 
     cap = min(budget, atoms.shape[1] - 1)
-    [result] = _pursue(rows, atoms.shape[1], np.array([exclude]), np.array([cap]), eps)
-    return result
+    [support], [coefs], [stop] = _pursue(
+        rows, atoms.shape[1], np.array([exclude]), np.array([cap]), eps)
+    kept = coefs != 0
+    return support[kept], coefs[kept], STOPS[stop - 1]
 
 
 def stop_mix(n: int, seed: int):
@@ -87,14 +89,6 @@ class TestCoefMatrix:
         c = CoefMatrix.from_triplets([0, 1], [1, 0], [0.0, 2.0], 3)
         assert c.nnz == 1
 
-    def test_column_accessor(self):
-        c = CoefMatrix.from_triplets([0, 2], [1, 1], [3.0, -4.0], 4)
-        support, values = c.column(1)
-        assert support.tolist() == [0, 2]
-        assert values.tolist() == [3.0, -4.0]
-        empty_support, empty_values = c.column(0)
-        assert empty_support.size == 0 and empty_values.size == 0
-
     def test_frozen_buffers(self):
         c = CoefMatrix.from_triplets([0], [1], [1.0], 3)
         with pytest.raises(ValueError):
@@ -122,11 +116,14 @@ class TestOmpSolve:
         omp_solve(d, target, 1, 0.0)
 
     def test_exact_atom_match(self):
+        # with atom 0 the fit stops before its budget, and the padding
+        # slots, which name atom 0, must leave its coefficient in place
         d = orthonormal_dictionary(6, 5, seed=1)
-        coefs = omp_solve(d, d.values[:, 3], 4)
-        expected = np.zeros(5)
-        expected[3] = 1.0
-        np.testing.assert_allclose(coefs, expected, atol=1e-12)
+        for atom in (3, 0):
+            coefs = omp_solve(d, d.values[:, atom], 4)
+            expected = np.zeros(5)
+            expected[atom] = 1.0
+            np.testing.assert_allclose(coefs, expected, atol=1e-12)
 
     def test_two_atom_orthonormal_combination(self):
         d = orthonormal_dictionary(8, 6, seed=2)
@@ -355,13 +352,14 @@ class TestSscOmp:
         assert c.nnz == 0
 
     def test_duplicate_points_express_each_other(self):
+        # with k = 2, column 1 stops on eps after atom 0 and keeps a padding slot
         values = np.array(
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         )
-        c = ssc_omp(DataMatrix(values), 1, 1e-6)
-        dense = c.to_dense()
-        assert dense[1, 0] == pytest.approx(1.0)
-        assert dense[0, 1] == pytest.approx(1.0)
+        for k in (1, 2):
+            dense = ssc_omp(DataMatrix(values), k, 1e-6).matrix.toarray()
+            assert dense[1, 0] == pytest.approx(1.0)
+            assert dense[0, 1] == pytest.approx(1.0)
 
     def test_zero_diagonal_and_budget(self, unit_matrix):
         x = unit_matrix(6, 14, seed=10)
@@ -369,7 +367,7 @@ class TestSscOmp:
         c = ssc_omp(x, k, 0.0)
         assert not c.matrix.diagonal().any()
         for i in range(x.n):
-            support, _ = c.column(i)
+            support, _ = column(c, i)
             assert support.size <= k
             assert i not in support.tolist()
 
@@ -382,7 +380,7 @@ class TestSscOmp:
             ref_support, ref_coefs = omp_reference(
                 x.values, x.values[:, i], 4, 1e-6, exclude=i
             )
-            support, values = c.column(i)
+            support, values = column(c, i)
             assert sorted(support.tolist()) == sorted(ref_support)
             order = np.argsort(support)
             ref_order = np.argsort(ref_support)
@@ -428,7 +426,7 @@ class TestSscOmp:
                 ref_support, ref_coefs = omp_reference(
                     x.values, x.values[:, i], int(budgets[i]), eps, exclude=i
                 )
-                support, coefs = c.column(i)
+                support, coefs = column(c, i)
                 order = np.argsort(ref_support)
                 assert support.tolist() == np.asarray(ref_support)[order].tolist()
                 np.testing.assert_allclose(
@@ -458,7 +456,7 @@ class TestAdaptiveDriver:
         sizes = np.array([1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
         c = ssc_omp_adaptive(x, KArray(sizes, 2), 0.0)
         for i in range(10):
-            support, _ = c.column(i)
+            support, _ = column(c, i)
             assert support.size <= sizes[i]
 
     def test_length_mismatch_rejected(self, unit_matrix):
@@ -535,7 +533,7 @@ class TestAdaptiveDriver:
         e1, e2, e3, e4 = np.eye(4)
         values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + gap * e3, e2, e1, e4], axis=1)
         x = normalize_columns(DataMatrix(values))
-        c = ssc_omp(x, 3, 0.0).to_dense()
+        c = ssc_omp(x, 3, 0.0).matrix.toarray()
         assert np.abs(c).max() <= 1.0 + 1e-6
         residual = x.values[:, 0] - x.values @ c[:, 0]
         assert np.linalg.norm(residual) <= 0.51
@@ -552,7 +550,7 @@ class TestAdaptiveDriver:
         e1, e2, e3, e4 = np.eye(4)
         values = np.stack([0.7 * e1 + 0.5 * e2 + 0.5 * e3, e1 + gap * e3, e2, e1, e4], axis=1)
         x = normalize_columns(DataMatrix(values))
-        c = ssc_omp(x, 3, 0.0).to_dense()
+        c = ssc_omp(x, 3, 0.0).matrix.toarray()
         np.testing.assert_allclose(c[:, 0], [0.0, *expected, 0.0], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -571,7 +569,7 @@ class TestAdaptiveDriver:
                 x.values, x.values[:, i], int(sizes[i]), 1e-6, exclude=i, gram=gram
             )
             tally[stop] += 1
-            support, coefs = c.column(i)
+            support, coefs = column(c, i)
             order = np.argsort(solo_support)
             assert support.tolist() == solo_support[order].tolist()
             np.testing.assert_allclose(coefs, solo_coefs[order], rtol=0, atol=1e-12)
@@ -592,8 +590,8 @@ class TestAdaptiveDriver:
         moved = ssc_omp_adaptive(DataMatrix(x.values[:, perm]),
                                  KArray(sizes[perm], 8), 1e-6)
         for new, old in enumerate(perm):
-            support, coefs = c.column(old)
-            moved_support, moved_coefs = moved.column(new)
+            support, coefs = column(c, old)
+            moved_support, moved_coefs = column(moved, new)
             order = np.argsort(perm[moved_support])
             assert perm[moved_support][order].tolist() == support.tolist()
             np.testing.assert_allclose(moved_coefs[order], coefs, rtol=0, atol=1e-12)
