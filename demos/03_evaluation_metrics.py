@@ -9,7 +9,7 @@ from the trial runner, which reads the clock around the pipeline stages.
 import numpy as np
 from scipy import sparse
 
-from sscomp import ExperimentConfig, Labels, SyntheticSpec, run_trial
+from sscomp import ExperimentConfig, Labels, SyntheticSpec, run_trials
 from sscomp.metrics import accuracy, connectivity, sea_ratio
 from sscomp.omp import CoefMatrix
 from sscomp.spectral import AffinityMatrix
@@ -47,7 +47,9 @@ print("SEA one-way pattern   :", sea_ratio(one_way))         # 1.0
 print("SEA mixed pattern     :", round(sea_ratio(mixed), 4)) # 4/6
 
 # --- timing -----------------------------------------------------------
-# run_trial times budget selection, self-expression, affinity and spectral
-# clustering; data preparation and the other metrics fall outside
-report = run_trial(ExperimentConfig(SyntheticSpec(3, 2, 12, 8, rng_seed=1), n_clusters=3, k=3))
+# run_trials returns one (report, predicted labels) pair per trial; each
+# trial times budget selection, self-expression, affinity and spectral
+# clustering, while data preparation and the other metrics fall outside
+cfg = ExperimentConfig(SyntheticSpec(3, 2, 12, 8, rng_seed=1), n_clusters=3, k=3)
+[(report, _)] = run_trials(cfg)
 print(f"trial time            : {report.time_seconds:.4f}s (accr {report.accr})")

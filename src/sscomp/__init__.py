@@ -30,7 +30,6 @@ from .experiment import (
     compare,
     load_dataset,
     run_sweep,
-    run_trial,
     run_trials,
 )
 from .metrics import (
@@ -81,7 +80,6 @@ __all__ = [
     "normalized_laplacian",
     "omp_solve",
     "run_sweep",
-    "run_trial",
     "run_trials",
     "save_csv",
     "save_labels",

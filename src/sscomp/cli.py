@@ -44,7 +44,6 @@ from .experiment import (
     mean_metrics,
     read_aggregate_csv,
     run_sweep,
-    run_trial_detailed,
     run_trials,
     write_comparison_csv,
 )
@@ -83,7 +82,7 @@ def _dataset_from_args(args):
     return _parse_synth(args.synth, args.synth_seed, args.synth_random_bases)
 
 
-def _experiment_config(args, method: str | None = None) -> ExperimentConfig:
+def _experiment_config(args, method: str) -> ExperimentConfig:
     dataset = _dataset_from_args(args)
     n_clusters = args.n_clusters
     if n_clusters is None:
@@ -94,7 +93,7 @@ def _experiment_config(args, method: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         dataset=dataset,
         n_clusters=n_clusters,
-        method=method if method is not None else args.method,
+        method=method,
         k=args.k,
         eps=args.eps,
         trials=args.trials,
@@ -115,15 +114,12 @@ def _print_report_line(label: str, values: dict) -> None:
 
 
 def _cmd_cluster(args) -> int:
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(args, args.method)
     if args.labels_out and cfg.trials > 1:
         raise ValueError("--labels-out needs --trials 1 (labels are per-trial)")
+    reports, labels = zip(*run_trials(cfg))
     if args.labels_out:
-        report, predicted = run_trial_detailed(cfg, 0)
-        reports = [report]
-        save_labels(predicted, args.labels_out)
-    else:
-        reports = run_trials(cfg)
+        save_labels(labels[0], args.labels_out)
     mean = mean_metrics(reports)
     print(f"dataset: {dataset_id(cfg.dataset)}")
     print(f"method: {cfg.method}  trials: {cfg.trials}")
@@ -166,7 +162,7 @@ def _parse_sweep_values(axis: str, text: str) -> tuple:
 def _cmd_sweep(args) -> int:
     axis = _AXIS_ALIASES[args.axis]
     values = _parse_sweep_values(axis, args.values)
-    base = _experiment_config(args, method="omp")
+    base = _experiment_config(args, "omp")
     sweep = SweepSpec(axis=axis, values=values)
     out_dir = Path(args.out_dir)
     rows = run_sweep(base, sweep, out_dir=out_dir)
@@ -276,7 +272,6 @@ def _add_dataset_args(p) -> None:
 
 
 def _add_run_args(p) -> None:
-    p.add_argument("--method", choices=list(METHODS), default="omp")
     p.add_argument("--n-clusters", type=int, default=None,
                    help="clusters to segment into (default: all synthetic subspaces)")
     p.add_argument("--k", type=int, default=8, help="base dictionary budget (default 8)")
@@ -302,6 +297,7 @@ def build_parser():
 
     p = subs.add_parser("cluster", help="run one configuration and report metrics")
     _add_dataset_args(p)
+    p.add_argument("--method", choices=list(METHODS), default="omp")
     _add_run_args(p)
     p.add_argument("--out", metavar="JSON", help="write the full report as JSON")
     p.add_argument("--labels-out", metavar="CSV",

@@ -50,7 +50,6 @@ __all__ = [
     "ExperimentError",
     "load_data_file",
     "load_dataset",
-    "run_trial",
     "run_trial_detailed",
     "run_trials",
     "run_sweep",
@@ -215,23 +214,19 @@ def _trial_seeds(master_seed: int, trial: int):
     return (int(state[0]), int(state[1]))
 
 
-def run_trial(cfg: ExperimentConfig, trial: int = 0, data=None) -> MetricsReport:
-    """Run the full pipeline once.
+def run_trial_detailed(cfg: ExperimentConfig, trial: int, data):
+    """Run the full pipeline once on ``data``, the loaded dataset as
+    (DataMatrix, Labels). Returns (MetricsReport, predicted Labels).
 
     The timed section covers budget selection (adaptive method only),
-    self-expression, affinity construction, and spectral clustering; data
-    loading, subsampling, and corruption are outside it. Deterministic
-    under (cfg.seed, trial).
+    self-expression, affinity construction, and spectral clustering;
+    subsampling and corruption are outside it. Deterministic under
+    (cfg.seed, trial).
     """
-    report, _ = run_trial_detailed(cfg, trial, data=data)
-    return report
-
-
-def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
-    """Like run_trial but also returns the predicted Labels."""
-    context = f"dataset={dataset_id(cfg.dataset)}, seed={cfg.seed}, trial={trial}"
+    context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
+               f"seed={cfg.seed}, trial={trial}")
     try:
-        x_full, y_full = data if data is not None else load_dataset(cfg)
+        x_full, y_full = data
         sub_seed, noise_seed = _trial_seeds(cfg.seed, trial)
         indices, truth = _subsample(x_full, y_full, cfg, np.random.default_rng(sub_seed))
         # one full-size copy: the corrupt or normalize step's own. The gather
@@ -285,16 +280,17 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int = 0, data=None):
         raise ExperimentError(f"trial failed ({context}): {exc}") from exc
 
 
-def run_trials(cfg: ExperimentConfig) -> list[MetricsReport]:
-    """All cfg.trials trials of one configuration, in trial-index order.
-    The dataset is loaded once, here, and passed to every trial."""
+def run_trials(cfg: ExperimentConfig) -> list[tuple[MetricsReport, Labels]]:
+    """All cfg.trials trials of one configuration as (report, predicted
+    labels) pairs, in trial-index order. The dataset is loaded once, here,
+    and passed to every trial: this is the one place a run loads it."""
     context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
                f"seed={cfg.seed}")
     try:
         data = load_dataset(cfg)
     except (ValueError, OSError) as exc:
         raise ExperimentError(f"dataset failed to load ({context}): {exc}") from exc
-    return [run_trial(cfg, t, data=data) for t in range(cfg.trials)]
+    return [run_trial_detailed(cfg, t, data) for t in range(cfg.trials)]
 
 
 def mean_metrics(reports: list[MetricsReport]) -> dict:
@@ -355,7 +351,7 @@ def run_sweep(
     rows = []
     for value, cfg in cells:
         try:
-            reports = run_trials(cfg)
+            reports = [report for report, _ in run_trials(cfg)]
         except ExperimentError as exc:
             rows.append(_error_row(cfg, str(exc)))
             continue

@@ -5,7 +5,8 @@ wall-clock runtime (TIME), worst per-cluster algebraic connectivity (CONN),
 percentage of subspace-preserving points (PERC), the l1 mass each point
 spends outside its own cluster (SSR), and the symmetrization-efficiency
 ratio nnz(A) / (2 nnz(C)) (SEA). TIME is measured by the trial runner,
-:func:`sscomp.experiment.run_trial`; the other five are computed here.
+:func:`sscomp.experiment.run_trial_detailed`; the other five are computed
+here.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from sscomp.experiment import (
     ExperimentConfig,
     SweepSpec,
     run_sweep,
-    run_trial,
+    run_trial_detailed,
     run_trials,
 )
 from sscomp.metrics import accuracy, sea_ratio, subspace_preserving_error, subspace_preserving_rate
@@ -188,7 +188,7 @@ def test_criterion_05_orthogonal_subspace_pipeline():
         cfg = ExperimentConfig(
             dataset=spec, n_clusters=5, method=method, k=8, eps=1e-6, seed=0
         )
-        report = run_trial(cfg)
+        [(report, _)] = run_trials(cfg)
         results[method] = (report.accr, report.perc, report.ssr)
         assert report.accr == 100.0, f"{method}: accr {report.accr}"
         assert report.perc == 100.0, f"{method}: perc {report.perc}"
@@ -220,7 +220,7 @@ def test_criterion_06_adaptive_overhead():
             cfg = ExperimentConfig(
                 dataset=spec, n_clusters=5, method=method, k=8, eps=1e-6, seed=run
             )
-            seconds[method] = run_trial(cfg, data=data).time_seconds
+            seconds[method] = run_trial_detailed(cfg, 0, data)[0].time_seconds
         ratios.append(seconds["adaptive-omp"] / seconds["omp"])
     ratio = statistics.median(ratios)
     ok = ratio <= 1.15
@@ -249,8 +249,8 @@ def test_criterion_07a_yaleb_reproduction():
         dataset=YALEB_CSV, n_clusters=5, method="adaptive-omp", k=8, eps=1e-6,
         trials=20, seed=0,
     )
-    base_reports = run_trials(base_cfg)
-    adapt_reports = run_trials(adapt_cfg)
+    base_reports = [r for r, _ in run_trials(base_cfg)]
+    adapt_reports = [r for r, _ in run_trials(adapt_cfg)]
     base_mean = float(np.mean([r.accr for r in base_reports]))
     wins = sum(
         1 for b, a in zip(base_reports, adapt_reports) if a.accr >= b.accr
@@ -274,7 +274,7 @@ def test_criterion_07b_usps_reproduction():
             dataset=USPS_CSV, n_clusters=10, method=method, k=8, eps=1e-6,
             trials=10, samples_per_cluster=250, seed=0,
         )
-        means[method] = float(np.mean([r.accr for r in run_trials(cfg)]))
+        means[method] = float(np.mean([r.accr for r, _ in run_trials(cfg)]))
     delta = means["adaptive-omp"] - means["omp"]
     ok = delta >= 3.0
     _verdict("7b", "USPS reproduction", ok,

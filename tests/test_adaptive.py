@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import k_array_reference
 
 from sscomp import DataMatrix, SyntheticSpec, generate_synthetic, normalize_columns
@@ -204,6 +206,22 @@ class TestComputeKArray:
             *_, clamped = k_array_reference(x.values, k)
             ka = compute_k_array(x, k)
             assert ka.sizes.tolist() == clamped
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_unit_data_matches_reference(self, data):
+        # budgets equal the oracle's clamped sizes and lie in [1, N-2]; the
+        # oracle's sizes before clamping average within 1 of K
+        n = data.draw(st.integers(min_value=3, max_value=20))
+        k = data.draw(st.integers(min_value=2, max_value=n - 1))
+        dim = data.draw(st.integers(min_value=2, max_value=6))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        x = normalize_columns(DataMatrix(np.random.default_rng(seed).standard_normal((dim, n))))
+        *_, pre_clamp, clamped = k_array_reference(x.values, k)
+        sizes = compute_k_array(x, k).sizes
+        assert sizes.tolist() == clamped
+        assert 1 <= sizes.min() and sizes.max() <= n - 2
+        assert abs(np.mean(pre_clamp) - k) <= 1.0
 
     def test_pre_clamp_mean_within_one_of_k(self, unit_matrix):
         for seed in range(10):

@@ -63,6 +63,21 @@ class TestCluster:
         assert code == 1
         assert "--trials 1" in err
 
+    def test_malformed_csv_fails_alike_with_labels_out(self, capsys, tmp_path):
+        # --labels-out reads trial 0 of the same run_trials call, so it
+        # cannot change how a load failure reads
+        path, labels_path = tmp_path / "bad.csv", tmp_path / "labels.csv"
+        path.write_text("0.5,0.5,0\n0.25,oops,1\n")
+        errors = []
+        for extra in ([], ["--labels-out", str(labels_path)]):
+            code, _, err = run(capsys, "cluster", "--data", str(path), "--n-clusters", "2",
+                               *extra)
+            assert code == 1
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: dataset failed to load (dataset=")
+        assert not labels_path.exists()
+
     def test_file_dataset_needs_n_clusters(self, capsys, tmp_path):
         x, y = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=5))
         path = tmp_path / "points.csv"
@@ -181,6 +196,14 @@ class TestSweep:
         )
         assert code == 1
         assert message in err
+        assert not out_dir.exists()
+
+    def test_method_flag_rejected(self, capsys, tmp_path):
+        # a sweep runs both methods paired, so it has no --method to ignore
+        out_dir = tmp_path / "sweep"
+        assert exit_code("sweep", "--synth", SYNTH, "--k", "3", "--axis", "n",
+                         "--values", "2", "--method", "omp", "--out-dir", str(out_dir)) == 2
+        assert "unrecognized arguments: --method omp" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_unknown_axis_value_type(self, capsys, tmp_path):

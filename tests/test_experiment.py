@@ -20,7 +20,6 @@ from sscomp.experiment import (
     load_dataset,
     read_aggregate_csv,
     run_sweep,
-    run_trial,
     run_trials,
     write_aggregate_csv,
     write_comparison_csv,
@@ -202,7 +201,7 @@ class TestTrialSeeds:
 
 class TestRunTrial:
     def test_orthogonal_oracle_scores(self):
-        report = run_trial(small_config())
+        [(report, _)] = run_trials(small_config())
         assert report.accr == 100.0
         assert report.perc == 100.0
         assert report.ssr == 0.0
@@ -210,7 +209,8 @@ class TestRunTrial:
         assert report.conn > 0.0
 
     def test_params_echo(self):
-        report = run_trial(small_config(), trial=2)
+        cfg = small_config()
+        report, _ = experiment.run_trial_detailed(cfg, 2, load_dataset(cfg))
         p = report.params
         assert p["dataset"] == dataset_id(SMALL)
         assert p["trial"] == 2
@@ -220,19 +220,19 @@ class TestRunTrial:
 
     def test_deterministic_modulo_time(self):
         cfg = small_config(noise_sigma=0.3)
-        a = run_trial(cfg, trial=1).to_dict()
-        b = run_trial(cfg, trial=1).to_dict()
+        data = load_dataset(cfg)
+        a = experiment.run_trial_detailed(cfg, 1, data)[0].to_dict()
+        b = experiment.run_trial_detailed(cfg, 1, data)[0].to_dict()
         a.pop("time"), b.pop("time")
         assert a == b
 
     def test_methods_share_subsample_and_noise(self):
         base = small_config(samples_per_cluster=5, noise_sigma=0.2, trials=1)
-        baseline = run_trial(base, trial=0)
-        adaptive = run_trial(
+        [(baseline, _)] = run_trials(base)
+        [(adaptive, _)] = run_trials(
             small_config(
                 samples_per_cluster=5, noise_sigma=0.2, method="adaptive-omp"
-            ),
-            trial=0,
+            )
         )
         assert (
             baseline.params["subsample_sha1"] == adaptive.params["subsample_sha1"]
@@ -251,7 +251,7 @@ class TestRunTrial:
         reports = {}
         for method in ("omp", "adaptive-omp"):
             cfg = small_config(dataset="ignored.csv", n_clusters=2, k=2, method=method)
-            reports[method] = run_trial(cfg, data=(x, y)).to_dict()
+            reports[method] = experiment.run_trial_detailed(cfg, 0, (x, y))[0].to_dict()
         del base_cfg
         for d in reports.values():
             d.pop("time")
@@ -263,7 +263,7 @@ class TestRunTrial:
         x, _ = generate_synthetic(SMALL)
         y = Labels(np.repeat([0, 1], 12), 2)
         with pytest.raises(ExperimentError, match="requested 3 clusters"):
-            run_trial(small_config(), data=(x, y))
+            experiment.run_trial_detailed(small_config(), 0, (x, y))
 
     def test_noise_that_cancels_a_column_is_named(self):
         # column picked[0] is minus the noise the trial adds to it, drawn
@@ -277,13 +277,14 @@ class TestRunTrial:
         noise = rng.normal(0.0, np.sqrt(cfg.noise_variance), size=(6, 6))
         values[:, picked[0]] = -noise[:, 0]
         with pytest.raises(ExperimentError, match=(
-            rf"trial failed \(dataset=cancel.csv, seed=7, trial=0\): column {picked[0]} "
+            rf"trial failed \(dataset=cancel.csv, method=omp, seed=7, trial=0\): "
+            rf"column {picked[0]} "
             r"has norm 0\.000e\+00, too close to zero to normalize"
         )):
             experiment.run_trial_detailed(cfg, 0, data=(DataMatrix(values), y))
 
     def test_adaptive_method_runs(self):
-        report = run_trial(small_config(method="adaptive-omp"))
+        [(report, _)] = run_trials(small_config(method="adaptive-omp"))
         assert report.accr == 100.0
         assert report.params["method"] == "adaptive-omp"
 
@@ -295,7 +296,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(SyntheticSpec(3, 2, 12, 3, rng_seed=0), n_clusters=3, k=5,
                                method=method)
         caplog.set_level(logging.DEBUG, logger="sscomp")
-        report = run_trial(cfg)
+        [(report, _)] = run_trials(cfg)
         assert "self-expression: 9 points, nnz 18, stops eps=9 budget=0 zero_correlation=0 " \
                "rank=0" in caplog.messages
         assert report.perc == 100.0
@@ -323,7 +324,7 @@ class TestRunTrial:
         cfg = ExperimentConfig(SyntheticSpec(3, 2, 12, 8, seed), n_clusters=3, method=method,
                                k=6, samples_per_cluster=4, noise_sigma=0.5,
                                noise_variance=0.1)
-        report, predicted = experiment.run_trial_detailed(cfg)
+        [(report, predicted)] = run_trials(cfg)
         n = report.params["n_points"]
         budgets = seen["compute_k_array"].sizes if method == "adaptive-omp" else np.full(n, 6)
         assert 1 <= budgets.min() and budgets.max() <= n - 2
@@ -339,7 +340,7 @@ class TestRunTrial:
 class TestRunTrials:
     def test_serial_count_and_order(self):
         cfg = small_config(trials=3)
-        reports = run_trials(cfg)
+        reports = [r for r, _ in run_trials(cfg)]
         assert [r.params["trial"] for r in reports] == [0, 1, 2]
 
     def test_dataset_loaded_once(self, monkeypatch):
@@ -351,7 +352,7 @@ class TestRunTrials:
             return real(cfg)
 
         monkeypatch.setattr(experiment, "load_dataset", counting)
-        reports = run_trials(small_config(trials=2))
+        reports = [r for r, _ in run_trials(small_config(trials=2))]
         assert [r.params["trial"] for r in reports] == [0, 1]
         assert len(calls) == 1
 
@@ -359,7 +360,7 @@ class TestRunTrials:
 class TestAggregation:
     def test_mean_row(self):
         cfg = small_config(trials=2)
-        reports = run_trials(cfg)
+        reports = [r for r, _ in run_trials(cfg)]
         row = aggregate_reports(cfg, reports)
         assert row["dataset"] == dataset_id(SMALL)
         assert row["n"] == 3
@@ -372,7 +373,7 @@ class TestAggregation:
 
     def test_csv_round_trip(self, tmp_path):
         cfg = small_config()
-        rows = [aggregate_reports(cfg, run_trials(cfg))]
+        rows = [aggregate_reports(cfg, [r for r, _ in run_trials(cfg)])]
         path = tmp_path / "agg.csv"
         write_aggregate_csv(rows, path)
         back = read_aggregate_csv(path)

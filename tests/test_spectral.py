@@ -124,6 +124,27 @@ class TestBuildAffinity:
         assert (a.values != a.values.T).nnz == 0
         assert c.nnz <= a.values.nnz <= 2 * c.nnz
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_sparse_c_matches_dense_oracle(self, data):
+        # any pattern off the diagonal, any signs: A is |C| + |C^T| entry for
+        # entry, and exactly symmetric, nonnegative and zero on the diagonal
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        cells = [(r, c) for r in range(n) for c in range(n) if r != c]
+        chosen = data.draw(st.lists(st.sampled_from(cells), max_size=len(cells), unique=True))
+        values = data.draw(st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0),
+            min_size=len(chosen), max_size=len(chosen)))
+        c = CoefMatrix.from_triplets([r for r, _ in chosen], [col for _, col in chosen],
+                                     values, n)
+        a = build_affinity(c).values
+        dense = np.abs(c.matrix.toarray())
+        assert np.array_equal(a.toarray(), dense + dense.T)
+        assert (a != a.T).nnz == 0
+        assert (a.data >= 0.0).all()
+        assert not a.diagonal().any()
+        assert c.nnz <= a.nnz <= 2 * c.nnz
+
 
 class TestNormalizedLaplacian:
     def test_single_edge(self):
