@@ -363,12 +363,22 @@ def _check_noise_args(sigma: float, variance: float) -> None:
 def _perturbed_values(x: DataMatrix, sigma: float, variance: float, rng):
     """Raw corruption step: pick round(sigma*N) columns and add N(0, variance)
     noise per coordinate. Returns the perturbed (un-normalized) values, a
-    new column-major copy, plus the chosen column indices."""
+    new column-major copy, plus the chosen column indices.
+
+    The noise is one ``rng.normal`` draw, added ``max(1, NORM_BLOCK // dim)``
+    picked columns at a time: every sum is the one a single fancy-indexed add
+    of the whole draw makes, but each block gathers at most ``NORM_BLOCK``
+    entries (512 kB), or one column, instead of all the picked columns. The
+    peak is the copy plus the noise, (1 + sigma) times the matrix.
+    """
     count = min(round_half_away_from_zero(sigma * x.n), x.n)
     picked = rng.choice(x.n, size=count, replace=False)
     out = x.values.copy(order="F")
     if count:
-        out[:, picked] += rng.normal(0.0, math.sqrt(variance), size=(x.dim, count))
+        noise = rng.normal(0.0, math.sqrt(variance), size=(x.dim, count))
+        step = max(1, NORM_BLOCK // x.dim)
+        for start in range(0, count, step):
+            out[:, picked[start : start + step]] += noise[:, start : start + step]
     return out, picked
 
 
@@ -381,7 +391,10 @@ def add_gaussian_noise(
     columns, then the whole matrix is re-normalized to unit columns. With
     ``sigma=0`` the result equals ``normalize_columns(x)`` exactly. ``x`` is
     left as it was; the result is one new copy, corrupted and normalized in
-    place.
+    place. The noise is added to the picked columns in blocks of about
+    ``NORM_BLOCK`` entries, so the peak is about (1 + sigma) times the
+    matrix: the copy and the noise draw, with no gather of all the picked
+    columns.
     """
     _check_noise_args(sigma, variance)
     rng = np.random.default_rng(rng_seed)

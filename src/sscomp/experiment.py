@@ -280,16 +280,26 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int, data):
         raise ExperimentError(f"trial failed ({context}): {exc}") from exc
 
 
+# what load_dataset raises for a dataset that cannot be read
+_LOAD_ERRORS = (ExperimentError, ValueError, OSError)
+
+
+def _load_failure(cfg: ExperimentConfig, exc: Exception) -> ExperimentError:
+    """A dataset load failure as the error that names cfg's run."""
+    return ExperimentError(
+        f"dataset failed to load (dataset={dataset_id(cfg.dataset)}, "
+        f"method={cfg.method}, seed={cfg.seed}): {exc}")
+
+
 def run_trials(cfg: ExperimentConfig) -> list[tuple[MetricsReport, Labels]]:
     """All cfg.trials trials of one configuration as (report, predicted
     labels) pairs, in trial-index order. The dataset is loaded once, here,
-    and passed to every trial: this is the one place a run loads it."""
-    context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
-               f"seed={cfg.seed}")
+    and passed to every trial; a load failure, a missing file included,
+    raises an ExperimentError that names the run."""
     try:
         data = load_dataset(cfg)
-    except (ValueError, OSError) as exc:
-        raise ExperimentError(f"dataset failed to load ({context}): {exc}") from exc
+    except _LOAD_ERRORS as exc:
+        raise _load_failure(cfg, exc) from exc
     return [run_trial_detailed(cfg, t, data) for t in range(cfg.trials)]
 
 
@@ -334,11 +344,13 @@ def run_sweep(
     """Run both methods over every sweep value, mean-aggregated over trials.
 
     For each sweep value the two methods derive their subsamples and noise
-    from the same (seed, trial) streams, so rows are paired point sets. A
+    from the same (seed, trial) streams, so rows are paired point sets. No
+    sweep axis changes the dataset, so it is loaded once for all cells. A
     failing (value, method) cell is recorded in its row's error column and
-    the sweep continues. An invalid sweep value is bad input, not a failing
-    cell: every cell's config is built first, so it raises ValueError
-    before any trial runs or any file is written.
+    the sweep continues; when the load fails, every cell's row records it
+    as :func:`run_trials` would name that cell's run. An invalid sweep value
+    is bad input, not a failing cell: every cell's config is built first,
+    so it raises ValueError before any load, trial or file is written.
 
     With ``out_dir`` set, writes aggregate.csv, plot.csv, and one JSON per
     trial under trials/.
@@ -348,10 +360,16 @@ def run_sweep(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         (out / "trials").mkdir(parents=True, exist_ok=True)
+    try:
+        data, failure = load_dataset(base), None
+    except _LOAD_ERRORS as exc:
+        data, failure = None, exc
     rows = []
     for value, cfg in cells:
         try:
-            reports = [report for report, _ in run_trials(cfg)]
+            if failure is not None:
+                raise _load_failure(cfg, failure)
+            reports = [run_trial_detailed(cfg, t, data)[0] for t in range(cfg.trials)]
         except ExperimentError as exc:
             rows.append(_error_row(cfg, str(exc)))
             continue

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite
 
 from .data import Labels
 from .omp import CoefMatrix
-from .spectral import AffinityMatrix, _laplacian
+from .spectral import AffinityMatrix, _off_diagonal
 
 __all__ = [
     "MetricsReport",
@@ -91,25 +91,6 @@ def accuracy(pred: Labels, truth: Labels) -> float:
     return 100.0 * float(table[rows, cols].sum()) / pred.n
 
 
-def _fiedler_value(sub: sparse.csr_array) -> float:
-    """Second-smallest normalized-Laplacian eigenvalue of one subgraph.
-
-    Zero means disconnected. Disconnection is decided by the number of
-    connected components alone, so the answer is exactly 0.0 rather than
-    eigensolver noise: with two or more vertices, a vertex with no edge is
-    a component of its own. The eigenvalue is only computed for graphs
-    already known to be connected.
-    """
-    if sub.shape[0] < 2:
-        return 0.0
-    if connected_components(sub, directed=False, return_labels=False) > 1:
-        return 0.0
-    # a symmetric slice of a validated affinity is one too
-    lap = _laplacian(sub).toarray()
-    value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
-    return max(value, 0.0)
-
-
 def connectivity(a: AffinityMatrix, truth: Labels) -> float:
     """Algebraic connectivity of the worst ground-truth cluster.
 
@@ -118,16 +99,44 @@ def connectivity(a: AffinityMatrix, truth: Labels) -> float:
     subgraph is disconnected. The minimum over clusters is returned, so a
     single badly fragmented cluster drives the score to 0. Single-vertex
     clusters count as 0.
+
+    One pass over the affinity keeps the edges inside clusters, and one
+    ``connected_components`` call on them decides disconnection, so the
+    answer is exactly 0.0 rather than eigensolver noise: a cluster is
+    connected iff it has two or more points, all in one component (a member
+    with no edge in its cluster is a component of its own). Only when every
+    cluster is connected is an eigenvalue computed: each cluster's edges
+    fill a dense m x m array, whose row sums are the degrees (the dense row
+    sums :func:`~sscomp.spectral.normalized_laplacian` takes too). The array
+    is then overwritten in place with the Laplacian's off-diagonal entries
+    and a unit diagonal, and ``eigh`` gives its second-smallest eigenvalue.
     """
     if truth.n != a.n:
         raise ValueError(f"labels cover {truth.n} points, affinity has {a.n}")
+    w, y = a.values, truth.assignments
+    rows = np.repeat(np.arange(a.n), np.diff(w.indptr))
+    inside = y[rows] == y[w.indices]
+    rows, cols, weights = rows[inside], w.indices[inside], w.data[inside]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=a.n))]
+    count = connected_components(sparse.csr_array((weights, cols, indptr), shape=w.shape),
+                                 directed=False, return_labels=False)
+    sizes = np.bincount(y)
+    # every cluster holds one component or more, so all are connected iff
+    # there are as many components as clusters
+    if count > truth.n_clusters or sizes.min() < 2:
+        return 0.0
+    local, cluster = np.empty(a.n, dtype=np.int64), y[rows]
     worst = np.inf
-    for c in range(truth.n_clusters):
-        members = np.flatnonzero(truth.assignments == c)
-        sub = a.values[np.ix_(members, members)]
-        worst = min(worst, _fiedler_value(sub))
-        if worst == 0.0:
-            break
+    for c, m in enumerate(sizes):
+        local[y == c] = np.arange(m)  # each member's index within its cluster
+        edges = np.flatnonzero(cluster == c)
+        i, j = local[rows[edges]], local[cols[edges]]
+        lap = np.zeros((m, m))
+        lap[i, j] = weights[edges]
+        lap[i, j] = _off_diagonal(lap.sum(axis=1), i, j, weights[edges])
+        np.fill_diagonal(lap, 1.0)
+        value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
+        worst = min(worst, max(value, 0.0))
     return worst
 
 

@@ -105,18 +105,26 @@ def _laplacian(w: sparse.csr_array) -> sparse.csr_array:
     degrees = np.empty(n)
     for i in range(0, n, step):
         degrees[i:i + step] = w[i:i + step].toarray().sum(axis=1)
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
+    off = _off_diagonal(degrees, rows, w.indices, w.data)
+    diag = np.arange(n)
+    return sparse.csr_array(
+        (np.r_[np.ones(n), off], (np.r_[diag, rows], np.r_[diag, w.indices])), shape=w.shape
+    )
+
+
+def _off_diagonal(degrees: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Normalized-Laplacian entries L_ij of the edges (rows[e], cols[e]) of
+    weight weights[e] in a symmetric graph with these vertex degrees: the
+    dense formula -s_i w_ij s_j with s = D^{-1/2}, symmetrized as
+    ``(L + L.T) / 2``. A vertex of degree 0 has s = 0."""
     scale = np.zeros_like(degrees)
     positive = degrees > 0
     scale[positive] = 1.0 / np.sqrt(degrees[positive])
-    rows = np.repeat(np.arange(n), np.diff(w.indptr))
-    cols = w.indices
     # w_ij == w_ji exactly, so the mirrored entry needs no transpose
-    off = -((scale[rows] * w.data) * scale[cols]
-            + (scale[cols] * w.data) * scale[rows]) / 2.0
-    diag = np.arange(n)
-    return sparse.csr_array(
-        (np.r_[np.ones(n), off], (np.r_[diag, rows], np.r_[diag, cols])), shape=w.shape
-    )
+    return -((scale[rows] * weights) * scale[cols]
+             + (scale[cols] * weights) * scale[rows]) / 2.0
 
 
 def _max_residual(lap: sparse.csr_array, values: np.ndarray, vectors: np.ndarray) -> float:
@@ -144,10 +152,10 @@ def _embedding(a: AffinityMatrix, k: int) -> np.ndarray:
     ARPACK) finds them from a fixed-seed start vector, so repeated calls
     give the same basis even of a multiple eigenvalue, and the result is
     kept when every column's residual ||L v - lambda v|| is at most
-    RESIDUAL_TOL ("lanczos"). Dense ``eigh`` of L runs instead below 5k
-    vertices ("dense-small"), and when ARPACK raises or the residual check
-    fails ("dense-fallback"). Every DEBUG line names the graph by its
-    component and isolated-vertex counts.
+    RESIDUAL_TOL ("lanczos"). Dense ``eigh`` of L runs instead on fewer than
+    5·k vertices (k = n_clusters; "dense-small"), and when ARPACK raises or
+    the residual check fails ("dense-fallback"). Every DEBUG line names the
+    graph by its component and isolated-vertex counts.
     """
     count, components = connected_components(a.values, directed=False)
     sizes = np.bincount(components)

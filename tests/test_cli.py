@@ -78,6 +78,13 @@ class TestCluster:
         assert errors[0].startswith("error: dataset failed to load (dataset=")
         assert not labels_path.exists()
 
+    def test_missing_file_names_the_run(self, capsys, tmp_path):
+        path = tmp_path / "nope.csv"
+        code, _, err = run(capsys, "cluster", "--data", str(path), "--n-clusters", "2")
+        assert code == 1
+        assert err == (f"error: dataset failed to load (dataset={path}, method=omp, seed=0): "
+                       f"dataset not found: {path}\n")
+
     def test_file_dataset_needs_n_clusters(self, capsys, tmp_path):
         x, y = generate_synthetic(SyntheticSpec(3, 2, 12, 8, rng_seed=5))
         path = tmp_path / "points.csv"

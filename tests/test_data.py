@@ -321,6 +321,21 @@ class TestNoise:
         untouched = sorted(set(range(10)) - set(picked.tolist()))
         assert np.array_equal(perturbed[:, untouched], x.values[:, untouched])
 
+    @pytest.mark.parametrize("shape", [(2016, 640), (50, 2000), (5, 20000), (1, 10)])
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
+    def test_blocked_add_equals_one_fancy_indexed_add(self, shape, sigma):
+        # the add runs over blocks of picked columns; the draw and every sum
+        # are those of one gather-add-scatter of the whole noise
+        x = DataMatrix(np.random.default_rng(14).standard_normal(shape))
+        got, picked = _perturbed_values(x, sigma, 0.3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        count = round_half_away_from_zero(sigma * x.n)
+        want_picked = rng.choice(x.n, size=count, replace=False)
+        want = x.values.copy(order="F")
+        want[:, want_picked] += rng.normal(0.0, math.sqrt(0.3), size=(x.dim, count))
+        assert np.array_equal(picked, want_picked)
+        assert np.array_equal(got, want) and got.flags.f_contiguous
+
     def test_noise_energy_matches_variance(self):
         # Monte Carlo: per corrupted column, E||noise||^2 = dim * variance
         dim, n, variance = 40, 30, 0.01
@@ -376,11 +391,13 @@ class TestNoise:
         assert out.values.flags.f_contiguous and not out.values.flags.writeable
         assert not np.shares_memory(out.values, x.values)
 
-    # one copy, corrupted and normalized in place: with the noise block and
-    # the scatter's temporary (half the columns each) corruption stays under
-    # 2.5x the matrix, and normalizing holds the copy and one block of squares
-    @pytest.mark.parametrize("prep, args, bound", [(add_gaussian_noise, (0.5,), 2.5),
-                                                   (normalize_columns, (), 1.5)])
+    # one copy, corrupted and normalized in place: corruption holds the copy,
+    # the noise draw (sigma times the matrix) and one block of columns
+    # gathered for the add, so it stays under (1.25 + sigma)x the matrix;
+    # normalizing holds the copy and one block of squares
+    @pytest.mark.parametrize("prep, args, bound", [(add_gaussian_noise, (0.5,), 1.75),
+                                                   (normalize_columns, (), 1.5),
+                                                   (add_gaussian_noise, (1.0,), 2.25)])
     def test_prep_peak_memory(self, prep, args, bound):
         x = DataMatrix(np.random.default_rng(13).standard_normal((2016, 640)))
         tracemalloc.start()

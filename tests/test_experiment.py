@@ -403,6 +403,19 @@ class TestRunSweep:
         second = run_sweep(small_config(trials=2), spec)
         assert rows_without_time(first) == rows_without_time(second)
 
+    def test_one_load_per_sweep(self, monkeypatch):
+        # every cell's rows are those of its own run_trials call
+        base, spec = small_config(trials=2, noise_sigma=0.3), SweepSpec("k", (2, 3, 4))
+        want = [aggregate_reports(cfg, [report for report, _ in run_trials(cfg)])
+                for cfg in (small_config(trials=2, noise_sigma=0.3, k=k, method=method)
+                            for k in spec.values for method in ("omp", "adaptive-omp"))]
+        loads = []
+        load = experiment.load_dataset
+        monkeypatch.setattr(experiment, "load_dataset", lambda cfg: loads.append(cfg) or load(cfg))
+        rows = run_sweep(base, spec)
+        assert len(loads) == 1
+        assert rows_without_time(rows) == rows_without_time(want)
+
     def test_error_rows_continue_the_sweep(self):
         rows = run_sweep(small_config(), SweepSpec("samples_per_cluster", (4, 500)))
         good = [r for r in rows if not r["error"]]
@@ -544,6 +557,19 @@ class TestUnreadableDataset:
                            r"\(dataset=.*bad\.csv, method=omp, seed=7\).*"
                            r"row 2, column 2"):
             run_trials(small_config(dataset=str(bad_csv)))
+
+    def test_missing_file_names_the_run(self, tmp_path):
+        with pytest.raises(ExperimentError, match=r"^dataset failed to load "
+                           r"\(dataset=.*nope\.csv, method=omp, seed=7\): "
+                           r"dataset not found: .*nope\.csv$"):
+            run_trials(small_config(dataset=str(tmp_path / "nope.csv")))
+
+    def test_sweep_over_missing_file_names_each_cell(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        rows = run_sweep(small_config(dataset=str(path)), SweepSpec("k", (3,)))
+        assert [r["error"] for r in rows] == [
+            f"dataset failed to load (dataset={path}, method={method}, seed=7): "
+            f"dataset not found: {path}" for method in ("omp", "adaptive-omp")]
 
     def test_sweep_records_error_rows(self, bad_csv, tmp_path):
         out = tmp_path / "out"

@@ -10,8 +10,10 @@ from oracles import (
     ssr_reference,
 )
 from scipy import sparse
+from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 
-from sscomp import Labels
+from sscomp import Labels, SyntheticSpec, add_gaussian_noise, generate_synthetic
 from sscomp.metrics import (
     MetricsReport,
     accuracy,
@@ -20,8 +22,8 @@ from sscomp.metrics import (
     subspace_preserving_error,
     subspace_preserving_rate,
 )
-from sscomp.omp import CoefMatrix
-from sscomp.spectral import AffinityMatrix
+from sscomp.omp import CoefMatrix, ssc_omp
+from sscomp.spectral import AffinityMatrix, _laplacian, build_affinity
 
 
 def labels(values):
@@ -163,6 +165,84 @@ class TestConnectivity:
         a = affinity_from_dense(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="points"):
             connectivity(a, labels([0, 1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_random_graphs(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=12))
+        cells = [(r, c) for r in range(n) for c in range(r + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(cells), max_size=len(cells), unique=True))
+        weights = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(chosen),
+                                     max_size=len(chosen)))
+        dense = np.zeros((n, n))
+        for (r, c), w in zip(chosen, weights):
+            dense[r, c] = dense[c, r] = w
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        _, ids = np.unique(raw, return_inverse=True)
+        got = connectivity(affinity_from_dense(dense), labels(ids))
+        assert got == pytest.approx(connectivity_reference(dense, ids.tolist()), abs=1e-10)
+
+
+def connectivity_per_cluster(a: AffinityMatrix, truth: Labels) -> float:
+    """Worst-cluster connectivity one cluster at a time: the cluster's slice
+    of the affinity, its components, its sparse Laplacian made dense and the
+    same ``eigh`` call. ``connectivity`` must give these bits."""
+    worst = np.inf
+    for c in range(truth.n_clusters):
+        members = np.flatnonzero(truth.assignments == c)
+        sub = a.values[np.ix_(members, members)]
+        if members.size < 2 or connected_components(sub, directed=False,
+                                                     return_labels=False) > 1:
+            return 0.0
+        lap = _laplacian(sub).toarray()
+        value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
+        worst = min(worst, max(value, 0.0))
+    return worst
+
+
+def trial_affinity(spec: SyntheticSpec, sigma: float, variance: float):
+    x, y = generate_synthetic(spec)
+    x = add_gaussian_noise(x, sigma, variance, rng_seed=spec.rng_seed)
+    return build_affinity(ssc_omp(x, 8, 1e-6)), y
+
+
+class TestConnectivityBits:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_noisy_faces_shape(self, seed):
+        a, y = trial_affinity(SyntheticSpec(10, 9, 2016, 64, rng_seed=seed, orthogonal=False),
+                              0.5, 1e-3)
+        got = connectivity(a, y)
+        assert got > 0.0 and got == connectivity_per_cluster(a, y)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_clean_synth_shape(self, seed):
+        a, y = trial_affinity(SyntheticSpec(5, 5, 50, 120, rng_seed=seed, orthogonal=False),
+                              0.0, 0.01)
+        got = connectivity(a, y)
+        assert got > 0.0 and got == connectivity_per_cluster(a, y)
+
+    def test_cluster_larger_than_a_degree_block(self):
+        # 600 members: the sliced Laplacian sums its degrees over row blocks
+        rng = np.random.default_rng(3)
+        dense = np.triu((rng.random((900, 900)) < 0.05) * rng.uniform(0.01, 2.0, (900, 900)), 1)
+        y = labels((np.arange(900) % 3 == 0).astype(int))
+        a = affinity_from_dense(dense + dense.T)
+        got = connectivity(a, y)
+        assert got > 0.0 and got == connectivity_per_cluster(a, y)
+
+    @pytest.mark.parametrize("truth, broken", [
+        ([0, 0, 0, 1, 1, 1], False),  # two paths
+        ([0, 0, 1, 1, 0, 0], True),   # cluster 0 is {0, 1} and {4, 5}, no edge between
+        ([0, 0, 0, 1, 1, 2], True),   # a singleton cluster
+        ([0, 0, 1, 1, 0, 1], True),   # both edges of vertex 4 leave its cluster
+    ])
+    def test_path_graph_clusters(self, truth, broken):
+        dense = np.zeros((6, 6))
+        for r, w in enumerate([1.0, 0.75, 0.5, 2.0, 0.25]):
+            dense[r, r + 1] = dense[r + 1, r] = w
+        a, y = affinity_from_dense(dense), labels(truth)
+        got = connectivity(a, y)
+        assert got == connectivity_per_cluster(a, y) and (got == 0.0) == broken
 
 
 class TestSubspacePreservation:
