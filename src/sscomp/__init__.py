@@ -16,7 +16,6 @@ from .data import (
     blend_gaussian_noise,
     generate_synthetic,
     load_csv,
-    load_labels,
     load_npz,
     normalize_columns,
     save_csv,
@@ -73,7 +72,6 @@ __all__ = [
     "gram_matrix",
     "load_csv",
     "load_dataset",
-    "load_labels",
     "load_npz",
     "neighborhood_scores",
     "normalize_columns",

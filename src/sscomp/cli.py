@@ -38,12 +38,14 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     SweepSpec,
+    aggregate_reports,
     compare,
     dataset_id,
     load_data_file,
     mean_metrics,
     read_aggregate_csv,
     run_sweep,
+    run_record,
     run_trials,
     write_comparison_csv,
 )
@@ -64,14 +66,7 @@ def _parse_synth(text: str, seed: int, random_bases: bool) -> SyntheticSpec:
         s, d, ambient, points = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"--synth values must be integers, got {text!r}") from None
-    return SyntheticSpec(
-        n_subspaces=s,
-        subspace_dim=d,
-        ambient_dim=ambient,
-        points_per_subspace=points,
-        rng_seed=seed,
-        orthogonal=not random_bases,
-    )
+    return SyntheticSpec(s, d, ambient, points, rng_seed=seed, orthogonal=not random_bases)
 
 
 def _dataset_from_args(args):
@@ -105,12 +100,9 @@ def _experiment_config(args, method: str) -> ExperimentConfig:
     )
 
 
-def _print_report_line(label: str, values: dict) -> None:
-    print(
-        f"{label}: accr={values['accr']:.2f} time={values['time']:.3f}s "
-        f"conn={values['conn']:.4f} perc={values['perc']:.2f} "
-        f"ssr={values['ssr']:.2f} sea={values['sea']:.4f}"
-    )
+def _metrics_text(row: dict) -> str:
+    """An aggregate row's metrics as ``name=value`` pairs, in column order."""
+    return " ".join(f"{m}={row[m]}" for m in METRIC_FORMATS)
 
 
 def _cmd_cluster(args) -> int:
@@ -120,25 +112,15 @@ def _cmd_cluster(args) -> int:
     reports, labels = zip(*run_trials(cfg))
     if args.labels_out:
         save_labels(labels[0], args.labels_out)
-    mean = mean_metrics(reports)
     print(f"dataset: {dataset_id(cfg.dataset)}")
     print(f"method: {cfg.method}  trials: {cfg.trials}")
     for t, report in enumerate(reports):
-        _print_report_line(f"trial {t}", report.to_dict())
+        print(f"trial {t}: {_metrics_text(aggregate_reports(cfg, [report]))}")
     if len(reports) > 1:
-        _print_report_line("mean", mean)
+        print(f"mean: {_metrics_text(aggregate_reports(cfg, reports))}")
     if args.out:
-        payload = {
-            "dataset": dataset_id(cfg.dataset),
-            "method": cfg.method,
-            "n_clusters": cfg.n_clusters,
-            "k": cfg.k,
-            "eps": cfg.eps,
-            "sigma": cfg.noise_sigma,
-            "seed": cfg.seed,
-            "trials": [r.to_dict() for r in reports],
-            "mean": mean,
-        }
+        payload = {**run_record(cfg), "trials": [r.to_dict() for r in reports],
+                   "mean": mean_metrics(reports)}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -172,7 +154,7 @@ def _cmd_sweep(args) -> int:
         if row["error"]:
             print(f"{tag}: ERROR {row['error']}")
         else:
-            print(f"{tag}: " + " ".join(f"{m}={row[m]}" for m in METRIC_FORMATS))
+            print(f"{tag}: {_metrics_text(row)}")
     print(f"wrote {out_dir / 'aggregate.csv'}")
     if failures:
         print(f"{len(failures)} sweep rows failed", file=sys.stderr)
@@ -232,14 +214,8 @@ def _save_data_file(x, out: Path, labels) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_subspaces=args.subspaces,
-        subspace_dim=args.dim,
-        ambient_dim=args.ambient,
-        points_per_subspace=args.points,
-        rng_seed=args.seed,
-        orthogonal=not args.random_bases,
-    )
+    spec = SyntheticSpec(args.subspaces, args.dim, args.ambient, args.points,
+                         rng_seed=args.seed, orthogonal=not args.random_bases)
     x, labels = generate_synthetic(spec)
     out = Path(args.out)
     _save_data_file(x, out, None if args.no_labels else labels)

@@ -25,7 +25,6 @@ __all__ = [
     "load_npz",
     "save_npz",
     "save_labels",
-    "load_labels",
     "normalize_columns",
     "generate_synthetic",
     "add_gaussian_noise",
@@ -280,18 +279,6 @@ def save_labels(labels: Labels, path) -> None:
     """One cluster id per line."""
     with open(path, "w") as fh:
         np.savetxt(fh, labels.assignments, fmt="%d")
-
-
-def load_labels(path) -> Labels:
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty label file")
-    try:
-        raw = np.array([int(line) for line in lines], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: labels must be integers ({exc})") from None
-    return _integer_labels(raw, lambda i: f"{path}: label {i}")
 
 
 def _normalized(values: np.ndarray) -> DataMatrix:

@@ -162,6 +162,17 @@ def dataset_id(dataset) -> str:
     return str(dataset)
 
 
+def run_record(cfg: ExperimentConfig) -> dict:
+    """cfg's fields under their own names, the dataset as its id: the record
+    that names a run in a trial's params and in ``sscomp cluster --out``."""
+    return {**dataclasses.asdict(cfg), "dataset": dataset_id(cfg.dataset)}
+
+
+def _run_context(cfg: ExperimentConfig) -> str:
+    """The ``dataset=…, method=…, seed=…`` that an error message names a run by."""
+    return f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, seed={cfg.seed}"
+
+
 def load_data_file(path, has_labels: bool = False):
     """Load a dataset file: an .npz with ``values``/``labels`` arrays, any
     other suffix as CSV rows. Returns ``(DataMatrix, Labels | None)``."""
@@ -223,8 +234,6 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int, data):
     subsampling and corruption are outside it. Deterministic under
     (cfg.seed, trial).
     """
-    context = (f"dataset={dataset_id(cfg.dataset)}, method={cfg.method}, "
-               f"seed={cfg.seed}, trial={trial}")
     try:
         x_full, y_full = data
         sub_seed, noise_seed = _trial_seeds(cfg.seed, trial)
@@ -257,27 +266,15 @@ def run_trial_detailed(cfg: ExperimentConfig, trial: int, data):
             perc=subspace_preserving_rate(coefs, truth),
             ssr=subspace_preserving_error(coefs, truth),
             sea=sea_ratio(coefs),
-            params={
-                "dataset": dataset_id(cfg.dataset),
-                "method": cfg.method,
-                "n_clusters": cfg.n_clusters,
-                "k": cfg.k,
-                "eps": cfg.eps,
-                "sigma": cfg.noise_sigma,
-                "noise_variance": cfg.noise_variance,
-                "noise_mode": cfg.noise_mode,
-                "samples_per_cluster": cfg.samples_per_cluster,
-                "seed": cfg.seed,
-                "trial": trial,
-                "n_points": int(indices.size),
-                "subsample_sha1": sample_hash,
-            },
+            params={**run_record(cfg), "trial": trial, "n_points": int(indices.size),
+                    "subsample_sha1": sample_hash},
         )
         return report, predicted
     except ExperimentError:
         raise
     except Exception as exc:
-        raise ExperimentError(f"trial failed ({context}): {exc}") from exc
+        raise ExperimentError(
+            f"trial failed ({_run_context(cfg)}, trial={trial}): {exc}") from exc
 
 
 # what load_dataset raises for a dataset that cannot be read
@@ -286,9 +283,7 @@ _LOAD_ERRORS = (ExperimentError, ValueError, OSError)
 
 def _load_failure(cfg: ExperimentConfig, exc: Exception) -> ExperimentError:
     """A dataset load failure as the error that names cfg's run."""
-    return ExperimentError(
-        f"dataset failed to load (dataset={dataset_id(cfg.dataset)}, "
-        f"method={cfg.method}, seed={cfg.seed}): {exc}")
+    return ExperimentError(f"dataset failed to load ({_run_context(cfg)}): {exc}")
 
 
 def run_trials(cfg: ExperimentConfig) -> list[tuple[MetricsReport, Labels]]:
@@ -390,11 +385,15 @@ def write_trial_json(report: MetricsReport, path) -> None:
         fh.write("\n")
 
 
-def write_aggregate_csv(rows: list[dict], path) -> None:
+def _write_table(rows: list[dict], path, columns: list[str]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_aggregate_csv(rows: list[dict], path) -> None:
+    _write_table(rows, path, CSV_COLUMNS)
 
 
 def read_aggregate_csv(path) -> list[dict]:
@@ -406,7 +405,7 @@ def read_aggregate_csv(path) -> list[dict]:
         return list(reader)
 
 
-def write_plot_csv(rows: list[dict], path, axis: str = "noise_sigma") -> None:
+def write_plot_csv(rows: list[dict], path, axis: str) -> None:
     """Long-format plot data: one (x, series, value) line per metric per
     aggregate row, series named method.metric."""
     x_col, _ = SWEEP_AXES[axis]
@@ -466,7 +465,4 @@ def compare(rows: list[dict]) -> list[dict]:
 
 
 def write_comparison_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARISON_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(rows, path, COMPARISON_COLUMNS)

