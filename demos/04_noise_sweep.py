@@ -4,8 +4,8 @@ Paired noise sweep: fixed budget vs per-point budgets
 
 Corrupt a growing fraction of the columns and run both methods on the
 same subsamples and the same noise, so their scores differ only by how
-the sparsity budget was chosen. Everything lands in CSV files under
-./sweep_out for plotting.
+the sparsity budget was chosen. The aggregate table, the comparison
+table and one JSON per trial land under ./sweep_out.
 """
 
 from pathlib import Path
@@ -50,5 +50,5 @@ for row in deltas:
           f"{row['accr_adaptive']} (delta {row['delta_accr']}), "
           f"time ratio {row['time_ratio']}{flag}")
 
-print(f"\nwrote {out/'aggregate.csv'}, {out/'plot.csv'}, {out/'comparison.csv'}")
+print(f"\nwrote {out/'aggregate.csv'}, {out/'comparison.csv'}")
 print(f"and one JSON per trial under {out/'trials'}/")

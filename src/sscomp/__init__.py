@@ -16,11 +16,9 @@ from .data import (
     blend_gaussian_noise,
     generate_synthetic,
     load_csv,
-    load_npz,
     normalize_columns,
     save_csv,
     save_labels,
-    save_npz,
 )
 from .experiment import (
     ExperimentConfig,
@@ -72,7 +70,6 @@ __all__ = [
     "gram_matrix",
     "load_csv",
     "load_dataset",
-    "load_npz",
     "neighborhood_scores",
     "normalize_columns",
     "normalized_laplacian",
@@ -81,7 +78,6 @@ __all__ = [
     "run_trials",
     "save_csv",
     "save_labels",
-    "save_npz",
     "sea_ratio",
     "spectral_cluster",
     "ssc_omp",

@@ -29,7 +29,6 @@ from .data import (
     normalize_columns,
     save_csv,
     save_labels,
-    save_npz,
 )
 from .experiment import (
     METHODS,
@@ -206,19 +205,12 @@ def _cmd_k_array(args) -> int:
     return 0
 
 
-def _save_data_file(x, out: Path, labels) -> None:
-    if out.suffix == ".npz":
-        save_npz(x, out, labels=labels)
-    else:
-        save_csv(x, out, labels=labels)
-
-
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec(args.subspaces, args.dim, args.ambient, args.points,
                          rng_seed=args.seed, orthogonal=not args.random_bases)
     x, labels = generate_synthetic(spec)
     out = Path(args.out)
-    _save_data_file(x, out, None if args.no_labels else labels)
+    save_csv(x, out, labels=None if args.no_labels else labels)
     print(f"wrote {out} ({x.n} points, dim {x.dim}, {labels.n_clusters} clusters)")
     return 0
 
@@ -228,7 +220,7 @@ def _cmd_noise(args) -> int:
     corrupt = add_gaussian_noise if args.noise_mode == "corrupt" else blend_gaussian_noise
     noisy = corrupt(x, args.sigma, args.noise_variance, rng_seed=args.seed)
     out = Path(args.out)
-    _save_data_file(noisy, out, labels)
+    save_csv(noisy, out, labels=labels)
     print(f"wrote {out} (sigma={args.sigma}, mode={args.noise_mode})")
     return 0
 
@@ -236,7 +228,7 @@ def _cmd_noise(args) -> int:
 def _add_dataset_args(p) -> None:
     p.add_argument("--data", metavar="PATH",
                    help="dataset file: CSV rows of features with a trailing "
-                        "integer label column, or .npz with values/labels")
+                        "integer label column")
     p.add_argument("--synth", metavar="S,D,AMB,M",
                    help="synthetic dataset: subspaces,subspace-dim,"
                         "ambient-dim,points-per-subspace")
@@ -290,7 +282,7 @@ def build_parser():
     p.add_argument("--values", required=True, metavar="V1,V2,...",
                    help="comma-separated sweep values")
     p.add_argument("--out-dir", required=True, metavar="DIR",
-                   help="directory for aggregate.csv, plot.csv, trials/*.json")
+                   help="directory for aggregate.csv and trials/*.json")
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("compare", help="adaptive-minus-baseline deltas per row")
@@ -315,7 +307,8 @@ def build_parser():
     p.add_argument("--random-bases", action="store_true")
     p.add_argument("--no-labels", action="store_true",
                    help="omit the label column")
-    p.add_argument("--out", required=True, metavar="FILE", help=".csv or .npz")
+    p.add_argument("--out", required=True, metavar="FILE",
+                   help="written as CSV rows, whatever its suffix")
     p.set_defaults(func=_cmd_synth)
 
     p = subs.add_parser("noise", help="corrupt a dataset file")
@@ -325,7 +318,8 @@ def build_parser():
     p.add_argument("--noise-variance", type=float, default=0.01)
     p.add_argument("--noise-mode", choices=["corrupt", "blend"], default="corrupt")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE",
+                   help="written as CSV rows, whatever its suffix")
     p.set_defaults(func=_cmd_noise)
 
     return parser

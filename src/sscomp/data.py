@@ -22,8 +22,6 @@ __all__ = [
     "SyntheticSpec",
     "load_csv",
     "save_csv",
-    "load_npz",
-    "save_npz",
     "save_labels",
     "normalize_columns",
     "generate_synthetic",
@@ -163,20 +161,19 @@ def _raise_bad_cell(path, line: int, row: list[str]) -> None:
             )
 
 
-def _integer_labels(raw: np.ndarray, where) -> Labels:
-    """Labels from integer-valued ids, remapped to contiguous 0-based ids.
+def _integer_labels(raw: np.ndarray, path, start: int) -> Labels:
+    """Labels from the finite float ids of a CSV's label column, whose first
+    data row is ``start + 1``, remapped to contiguous 0-based ids.
 
-    Ids of a non-integer dtype must be integer-valued and in the int64
-    range; the first that is not raises, named by ``where(index)``.
+    Ids must be integer-valued and in the int64 range; the first that is
+    not raises, naming its row.
     """
-    if raw.dtype.kind not in "biu":
-        raw = np.asarray(raw, dtype=np.float64)
-        fractional = ~np.isfinite(raw) | (raw != np.floor(raw))
-        bad = np.flatnonzero(fractional | (raw < -(2.0**63)) | (raw >= 2.0**63))
-        if bad.size:
-            i = int(bad[0])
-            problem = "is not an integer" if fractional[i] else "is outside the int64 range"
-            raise ValueError(f"{where(i)}: label {float(raw[i])} {problem}")
+    fractional = raw != np.floor(raw)
+    bad = np.flatnonzero(fractional | (raw < -(2.0**63)) | (raw >= 2.0**63))
+    if bad.size:
+        i = int(bad[0])
+        problem = "is not an integer" if fractional[i] else "is outside the int64 range"
+        raise ValueError(f"{path}: row {start + i + 1}: label {float(raw[i])} {problem}")
     _, contiguous = np.unique(raw.astype(np.int64), return_inverse=True)
     return Labels(contiguous, int(contiguous.max()) + 1)
 
@@ -184,40 +181,45 @@ def _integer_labels(raw: np.ndarray, where) -> Labels:
 def load_csv(path, has_labels: bool = False):
     """Load a CSV of points (one row per point) into a DataMatrix.
 
-    The file is read in one pass, as UTF-8 with an optional byte-order mark.
-    Blank rows are skipped and not counted. Each other row is converted to
-    floats as it is read, so only floats are held. A first row that does not
-    convert is a header and is skipped. Every data row must have the field
-    count of the first one and hold finite values; the first row that does
-    not raises, naming its row (and column). When ``has_labels`` is set the
-    last column must hold integer labels, which are remapped to contiguous
-    0-based ids.
+    The file is read in one pass, as UTF-8 with an optional byte-order mark;
+    bytes that are not UTF-8, or a field longer than the csv module allows,
+    raise ValueError naming the file. Blank rows are skipped and not
+    counted. Each other row is converted to floats as it is read, so only
+    floats are held. A first row that does not convert is a header and is
+    skipped. Every data row must have the field count of the first one and
+    hold finite values; the first row that does not raises, naming its row
+    (and column). When ``has_labels`` is set the last column must hold
+    integer labels, which are remapped to contiguous 0-based ids.
 
     Returns ``(DataMatrix, Labels | None)``.
     """
     kept, width, line = [], 0, 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.reader(fh):
-            if not any(cell.strip() for cell in row):
-                continue
-            line += 1
-            try:
-                point = np.array(row, dtype=np.float64)
-            except ValueError:
-                if line == 1:
-                    continue  # a first row that is not all floats is the header
-                point = None
-            if not width:
-                width = len(row)
-                if has_labels and width < 2:
-                    raise ValueError(
-                        f"{path}: need at least one feature column plus a label column"
-                    )
-            elif len(row) != width:
-                raise ValueError(f"{path}: row {line} has {len(row)} fields, expected {width}")
-            if point is None or not np.isfinite(point).all():
-                _raise_bad_cell(path, line, row)
-            kept.append(point)
+        try:
+            for row in csv.reader(fh):
+                if not any(cell.strip() for cell in row):
+                    continue
+                line += 1
+                try:
+                    point = np.array(row, dtype=np.float64)
+                except ValueError:
+                    if line == 1:
+                        continue  # a first row that is not all floats is the header
+                    point = None
+                if not width:
+                    width = len(row)
+                    if has_labels and width < 2:
+                        raise ValueError(
+                            f"{path}: need at least one feature column plus a label column"
+                        )
+                elif len(row) != width:
+                    raise ValueError(f"{path}: row {line} has {len(row)} fields, expected {width}")
+                if point is None or not np.isfinite(point).all():
+                    _raise_bad_cell(path, line, row)
+                kept.append(point)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # a field over the csv module's size limit, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not line:
         raise ValueError(f"{path}: empty CSV")
     if not kept:
@@ -226,7 +228,7 @@ def load_csv(path, has_labels: bool = False):
 
     labels = None
     if has_labels:
-        labels = _integer_labels(rows[:, -1], lambda i: f"{path}: row {start + i + 1}")
+        labels = _integer_labels(rows[:, -1], path, start)
         rows = rows[:, :-1]
 
     if rows.shape[0] < 3:
@@ -243,36 +245,6 @@ def save_csv(x: DataMatrix, path, labels: Labels | None = None) -> None:
         table, fmt = np.column_stack([table, labels.assignments]), fmt + ["%d"]
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n")
-
-
-def load_npz(path, has_labels: bool = False):
-    """Load the binary matrix format: an .npz with ``values`` (dim x N) and
-    optionally ``labels`` (length N integers)."""
-    with np.load(path) as archive:
-        if "values" not in archive:
-            raise ValueError(f"{path}: missing 'values' array")
-        try:
-            x = DataMatrix(archive["values"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        labels = None
-        if has_labels:
-            if "labels" not in archive:
-                raise ValueError(f"{path}: labels requested but no 'labels' array")
-            raw = archive["labels"]
-            if raw.ndim != 1 or raw.size != x.n:
-                raise ValueError(f"{path}: 'labels' must be a length-N vector")
-            labels = _integer_labels(raw, lambda i: f"{path}: 'labels' entry {i}")
-    return x, labels
-
-
-def save_npz(x: DataMatrix, path, labels: Labels | None = None) -> None:
-    arrays = {"values": x.values}
-    if labels is not None:
-        if labels.n != x.n:
-            raise ValueError("labels length does not match point count")
-        arrays["labels"] = labels.assignments
-    np.savez(path, **arrays)
 
 
 def save_labels(labels: Labels, path) -> None:

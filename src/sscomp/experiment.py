@@ -29,7 +29,6 @@ from .data import (
     blend_gaussian_noise,
     generate_synthetic,
     load_csv,
-    load_npz,
     normalize_columns,
 )
 from .metrics import (
@@ -58,7 +57,6 @@ __all__ = [
     "aggregate_reports",
     "write_aggregate_csv",
     "read_aggregate_csv",
-    "write_plot_csv",
     "write_comparison_csv",
     "write_trial_json",
 ]
@@ -99,8 +97,8 @@ class ExperimentError(RuntimeError):
 class ExperimentConfig:
     """Everything one trial needs, minus the trial index.
 
-    ``dataset`` is a file path (CSV with a trailing integer label column,
-    or an .npz with ``values``/``labels`` arrays) or a synthetic recipe.
+    ``dataset`` is a file path (CSV with a trailing integer label column)
+    or a synthetic recipe.
     ``samples_per_cluster=None`` keeps every point of each chosen cluster.
     """
 
@@ -174,13 +172,11 @@ def _run_context(cfg: ExperimentConfig) -> str:
 
 
 def load_data_file(path, has_labels: bool = False):
-    """Load a dataset file: an .npz with ``values``/``labels`` arrays, any
-    other suffix as CSV rows. Returns ``(DataMatrix, Labels | None)``."""
+    """Load a dataset file of CSV rows, whatever its suffix, after checking
+    that it exists. Returns ``(DataMatrix, Labels | None)``."""
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"dataset not found: {path}")
-    if path.suffix == ".npz":
-        return load_npz(path, has_labels=has_labels)
     return load_csv(path, has_labels=has_labels)
 
 
@@ -347,8 +343,8 @@ def run_sweep(
     is bad input, not a failing cell: every cell's config is built first,
     so it raises ValueError before any load, trial or file is written.
 
-    With ``out_dir`` set, writes aggregate.csv, plot.csv, and one JSON per
-    trial under trials/.
+    With ``out_dir`` set, writes aggregate.csv and one JSON per trial under
+    trials/.
     """
     cells = [(value, dataclasses.replace(base, method=method, **{sweep.axis: value}))
              for value in sweep.values for method in METHODS]
@@ -375,7 +371,6 @@ def run_sweep(
                 write_trial_json(report, out / "trials" / name)
     if out is not None:
         write_aggregate_csv(rows, out / "aggregate.csv")
-        write_plot_csv(rows, out / "plot.csv", axis=sweep.axis)
     return rows
 
 
@@ -397,26 +392,12 @@ def write_aggregate_csv(rows: list[dict], path) -> None:
 
 
 def read_aggregate_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: not an aggregate CSV, missing columns {missing}")
         return list(reader)
-
-
-def write_plot_csv(rows: list[dict], path, axis: str) -> None:
-    """Long-format plot data: one (x, series, value) line per metric per
-    aggregate row, series named method.metric."""
-    x_col, _ = SWEEP_AXES[axis]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "series", "value"])
-        for row in rows:
-            if row["error"]:
-                continue
-            for metric in METRIC_FORMATS:
-                writer.writerow([row[x_col], f"{row['method']}.{metric}", row[metric]])
 
 
 def _row_key(row: dict):

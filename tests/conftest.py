@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,23 @@ def column(coefs, i: int):
     m = coefs.matrix
     lo, hi = m.indptr[i], m.indptr[i + 1]
     return m.indices[lo:hi], m.data[lo:hi]
+
+
+def _npz_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, values=np.eye(3), labels=np.arange(3))
+    return buf.getvalue()
+
+
+# dataset files that the csv module cannot read, each with the start of the
+# error it raises: a field over the module's 131072-character limit, a
+# Latin-1 header that is not UTF-8, and a numpy .npz archive
+UNREADABLE_CSVS = {
+    "field-limit": (f"1,0,0\n0,1,0\n{'9' * 200_000},1,1\n".encode(),
+                    "field larger than field limit"),
+    "latin-1": ("caf\u00e9,x,label\n1,0,0\n0,1,0\n1,1,1\n".encode("latin-1"),
+                "'utf-8' codec can't decode byte 0xe9"),
+    "npz": (_npz_bytes(), "'utf-8' codec can't decode byte"),
+}
+unreadable_csvs = pytest.mark.parametrize(
+    "content, shown", list(UNREADABLE_CSVS.values()), ids=list(UNREADABLE_CSVS))

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import unreadable_csvs
 
 from sscomp import ExperimentConfig, MetricsReport, generate_synthetic, SyntheticSpec
 from sscomp.cli import main
@@ -97,6 +98,16 @@ class TestCluster:
         assert errors[0].startswith("error: dataset failed to load (dataset=")
         assert not labels_path.exists()
 
+    @unreadable_csvs
+    def test_unreadable_csv_is_a_load_failure_line(self, capsys, tmp_path, content, shown):
+        path = tmp_path / "unreadable.csv"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "cluster", "--data", str(path), "--n-clusters", "2")
+        assert code == 1
+        assert err.startswith(f"error: dataset failed to load (dataset={path}, method=omp, "
+                              f"seed=0): {path}: {shown}")
+        assert len(err.splitlines()) == 1
+
     def test_missing_file_names_the_run(self, capsys, tmp_path):
         path = tmp_path / "nope.csv"
         code, _, err = run(capsys, "cluster", "--data", str(path), "--n-clusters", "2")
@@ -156,7 +167,6 @@ class TestSweep:
         )
         assert code == 0
         assert (out_dir / "aggregate.csv").exists()
-        assert (out_dir / "plot.csv").exists()
         rows = read_aggregate_csv(out_dir / "aggregate.csv")
         assert len(rows) == 4
         assert "noise_sigma=0 omp" in out
@@ -264,6 +274,15 @@ class TestCompare:
         assert len(rows) == 2
         assert all(r["delta_accr"] != "" for r in rows)
 
+    def test_aggregate_with_byte_order_mark(self, capsys, tmp_path):
+        agg = self.make_sweep(tmp_path, capsys)
+        _, plain, _ = run(capsys, "compare", str(agg))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + agg.read_bytes())
+        code, out, err = run(capsys, "compare", str(bom))
+        assert (code, err) == (0, "")
+        assert out == plain
+
     def test_second_file_rejected(self, capsys):
         assert exit_code("compare", "a.csv", "b.csv") == 2
         assert "unrecognized arguments: b.csv" in capsys.readouterr().err
@@ -347,7 +366,7 @@ class TestSynthAndNoise:
         assert code == 0
         assert hashlib.sha1(out_path.read_bytes()).hexdigest() == sha1
 
-    def test_synth_npz_no_labels(self, capsys, tmp_path):
+    def test_synth_no_labels_writes_csv_whatever_the_suffix(self, capsys, tmp_path):
         out_path = tmp_path / "made.npz"
         code, _, _ = run(
             capsys,
@@ -355,10 +374,10 @@ class TestSynthAndNoise:
             "--points", "5", "--no-labels", "--out", str(out_path),
         )
         assert code == 0
-        from sscomp.data import load_npz
+        from sscomp.data import load_csv
 
-        x, y = load_npz(out_path)
-        assert x.n == 10 and y is None
+        x, y = load_csv(out_path)
+        assert (x.n, x.dim) == (10, 8) and y is None
 
     def test_noise_round_trip(self, capsys, tmp_path):
         clean = tmp_path / "clean.csv"
@@ -385,16 +404,17 @@ class TestSynthAndNoise:
             np.linalg.norm(x_noisy.values, axis=0), 1.0, atol=1e-9
         )
 
-    def test_noise_one_dimensional_npz_is_an_error_line(self, capsys, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, values=np.ones(6), labels=np.zeros(6, dtype=np.int64))
+    def test_noise_ragged_csv_is_an_error_line(self, capsys, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,0,0\n3\n0,1,1\n")
         code, _, err = run(
             capsys,
             "noise", "--in", str(path), "--has-labels",
-            "--sigma", "0.2", "--out", str(tmp_path / "o.npz"),
+            "--sigma", "0.2", "--out", str(tmp_path / "o.csv"),
         )
         assert code == 1
-        assert err.startswith("error:") and "2-d array" in err
+        assert err == f"error: {path}: row 2 has 1 fields, expected 3\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_noise_missing_input(self, capsys, tmp_path):
         code, _, err = run(

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import unreadable_csvs
 
 from sscomp.data import (
     DataMatrix,
@@ -13,11 +14,9 @@ from sscomp.data import (
     blend_gaussian_noise,
     generate_synthetic,
     load_csv,
-    load_npz,
     normalize_columns,
     save_csv,
     save_labels,
-    save_npz,
 )
 from sscomp.util import round_half_away_from_zero
 
@@ -131,11 +130,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"row 1: label 0\.5 is not an integer"):
             load_csv(path, has_labels=True)
 
-    def test_labels_outside_int64_rejected(self, tmp_path):
+    @pytest.mark.parametrize("wide, shown", [("1e20", r"1e\+20"),
+                                             ("9223372036854775808", r"9\.223372036854776e\+18")],
+                             ids=["1e20", "2**63"])
+    def test_labels_outside_int64_rejected(self, tmp_path, wide, shown):
         path = tmp_path / "widelabel.csv"
-        path.write_text("f0,f1,label\n\n1,0,1\n0,1,1e20\n1,1,2e20\n0,2,1e20\n")
-        with pytest.raises(ValueError, match=r"row 3: label 1e\+20 is outside the int64 range"):
+        path.write_text(f"f0,f1,label\n\n1,0,1\n0,1,{wide}\n1,1,2e20\n0,2,{wide}\n")
+        with pytest.raises(ValueError, match=rf"row 3: label {shown} is outside the int64 range"):
             load_csv(path, has_labels=True)
+
+    def test_int64_minimum_label_accepted(self, tmp_path):
+        path = tmp_path / "minlabel.csv"
+        path.write_text("1,0,-9223372036854775808\n0,1,0\n1,1,-9223372036854775808\n"
+                        "0,2,0\n2,1,0\n")
+        _, y = load_csv(path, has_labels=True)
+        assert y.assignments.tolist() == [0, 1, 0, 1, 1]
+
+    def test_integer_valued_float_labels_accepted(self, tmp_path):
+        path = tmp_path / "floatlabels.csv"
+        path.write_text("1,0,3.0\n0,1,3.0\n1,1,7.0\n0,2,7.0\n2,1,3.0\n")
+        _, y = load_csv(path, has_labels=True)
+        assert y.assignments.tolist() == [0, 0, 1, 1, 0]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -143,61 +158,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             load_csv(path)
 
-
-def test_npz_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    x = DataMatrix(rng.standard_normal((5, 8)))
-    y = Labels(np.repeat([0, 1], 4), 2)
-    path = tmp_path / "points.npz"
-    save_npz(x, path, labels=y)
-    x2, y2 = load_npz(path, has_labels=True)
-    assert np.array_equal(x.values, x2.values)
-    assert np.array_equal(y.assignments, y2.assignments)
-    x3, y3 = load_npz(path)
-    assert y3 is None and x3.n == 8
-
-
-class TestLoadNpz:
-    def test_one_dimensional_values_rejected_with_labels(self, tmp_path):
-        path = tmp_path / "flat.npz"
-        np.savez(path, values=np.ones(6), labels=np.zeros(6, dtype=np.int64))
-        with pytest.raises(ValueError, match="2-d array"):
-            load_npz(path, has_labels=True)
-
-    def test_values_error_names_the_file(self, tmp_path):
-        path = tmp_path / "flat.npz"
-        np.savez(path, values=np.ones(6))
+    @unreadable_csvs
+    def test_unreadable_file_is_named(self, tmp_path, content, shown):
+        path = tmp_path / "unreadable.csv"
+        path.write_bytes(content)
         with pytest.raises(ValueError) as info:
-            load_npz(path)
-        assert str(info.value).startswith(f"{path}: data must be a 2-d array")
-
-    @pytest.mark.parametrize("bad, shown", [(0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf")])
-    def test_non_integer_label_rejected(self, tmp_path, bad, shown):
-        path = tmp_path / "fraclabels.npz"
-        labels = np.array([0.0, 0.0, 1.0, bad, 1.0])
-        np.savez(path, values=np.eye(5), labels=labels)
-        with pytest.raises(ValueError, match=rf"'labels' entry 3: label {shown} is not an integer"):
-            load_npz(path, has_labels=True)
-
-    @pytest.mark.parametrize("wide, shown", [(2.0**63, r"9\.223372036854776e\+18"), (1e20, r"1e\+20")],
-                             ids=["2**63", "1e20"])
-    def test_labels_outside_int64_rejected(self, tmp_path, wide, shown):
-        path = tmp_path / "widelabels.npz"
-        np.savez(path, values=np.eye(5), labels=np.array([0.0, wide, 2 * wide, wide, 0.0]))
-        with pytest.raises(ValueError, match=rf"'labels' entry 1: label {shown} is outside the int64 range"):
-            load_npz(path, has_labels=True)
-
-    def test_int64_minimum_label_accepted(self, tmp_path):
-        path = tmp_path / "minlabel.npz"
-        np.savez(path, values=np.eye(5), labels=np.array([-(2.0**63), 0.0, -(2.0**63), 0.0, 0.0]))
-        _, y = load_npz(path, has_labels=True)
-        assert y.assignments.tolist() == [0, 1, 0, 1, 1]
-
-    def test_integer_valued_float_labels_accepted(self, tmp_path):
-        path = tmp_path / "floatlabels.npz"
-        np.savez(path, values=np.eye(5), labels=np.array([3.0, 3.0, 7.0, 7.0, 3.0]))
-        _, y = load_npz(path, has_labels=True)
-        assert y.assignments.tolist() == [0, 0, 1, 1, 0]
+            load_csv(path, has_labels=True)
+        assert str(info.value).startswith(f"{path}: {shown}")
 
 
 def test_labels_csv_round_trip(tmp_path):

@@ -4,10 +4,10 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import column
+from conftest import column, unreadable_csvs
 
 from sscomp import DataMatrix, Labels, SyntheticSpec, experiment, generate_synthetic
-from sscomp.data import save_csv, save_npz
+from sscomp.data import save_csv
 from sscomp.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -24,7 +24,6 @@ from sscomp.experiment import (
     run_trials,
     write_aggregate_csv,
     write_comparison_csv,
-    write_plot_csv,
 )
 
 SMALL = SyntheticSpec(3, 2, 12, 8, rng_seed=5)
@@ -115,13 +114,6 @@ class TestDatasetHandling:
         np.testing.assert_allclose(loaded_x.values, x.values)
         assert (loaded_y.assignments == y.assignments).all()
 
-    def test_load_npz_file(self, tmp_path):
-        x, y = generate_synthetic(SMALL)
-        path = tmp_path / "points.npz"
-        save_npz(x, path, labels=y)
-        loaded_x, loaded_y = load_dataset(small_config(dataset=path))
-        np.testing.assert_array_equal(loaded_x.values, x.values)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ExperimentError, match="not found"):
             load_dataset(small_config(dataset=tmp_path / "nope.csv"))
@@ -133,13 +125,6 @@ class TestDatasetHandling:
         path = tmp_path / "unlabeled.csv"
         save_csv(x, path)
         with pytest.raises(ValueError, match="label"):
-            load_dataset(small_config(dataset=path))
-
-    def test_npz_without_labels_rejected(self, tmp_path):
-        x, _ = generate_synthetic(SMALL)
-        path = tmp_path / "unlabeled.npz"
-        save_npz(x, path)
-        with pytest.raises(ValueError, match="no 'labels'"):
             load_dataset(small_config(dataset=path))
 
 
@@ -447,8 +432,7 @@ class TestRunSweep:
         rows = run_sweep(
             small_config(trials=2), SweepSpec("k", (2,)), out_dir=out
         )
-        assert (out / "aggregate.csv").exists()
-        assert (out / "plot.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "trials"]
         trial_files = sorted(p.name for p in (out / "trials").glob("*.json"))
         assert trial_files == [
             "k-2_adaptive-omp_trial0.json",
@@ -461,17 +445,6 @@ class TestRunSweep:
         assert read_aggregate_csv(out / "aggregate.csv") == [
             {k: str(v) for k, v in row.items()} for row in rows
         ]
-
-    def test_plot_csv_shape(self, tmp_path):
-        out = tmp_path / "sweep"
-        rows = run_sweep(small_config(), SweepSpec("noise_sigma", (0.0,)), out_dir=out)
-        lines = (out / "plot.csv").read_text().strip().splitlines()
-        assert lines[0] == "x,series,value"
-        # 2 methods x 6 metrics
-        assert len(lines) == 13
-        series = {line.split(",")[1] for line in lines[1:]}
-        assert "omp.accr" in series and "adaptive-omp.sea" in series
-        assert all(line.split(",")[0] == "0" for line in lines[1:])
 
 
 def fake_row(method, accr, time="1.0", seed="7", error=""):
@@ -585,14 +558,17 @@ class TestUnreadableDataset:
         written = read_aggregate_csv(out / "aggregate.csv")
         assert [r["error"] for r in written] == [r["error"] for r in rows]
 
-    def test_sweep_over_one_dimensional_npz_records_error_rows(self, tmp_path):
-        path = tmp_path / "flat.npz"
-        np.savez(path, values=np.ones(24), labels=np.repeat([0, 1, 2], 8))
+    @unreadable_csvs
+    def test_sweep_over_unreadable_csv_records_error_rows(self, tmp_path, content, shown):
+        path = tmp_path / "unreadable.csv"
+        path.write_bytes(content)
         out = tmp_path / "out"
         rows = run_sweep(small_config(dataset=str(path)), SweepSpec("k", (3,)),
                          out_dir=out)
         assert [r["method"] for r in rows] == ["omp", "adaptive-omp"]
-        assert all("dataset failed to load" in r["error"] and "2-d array" in r["error"]
-                   for r in rows)
+        for row in rows:
+            assert row["error"].startswith(
+                f"dataset failed to load (dataset={path}, method={row['method']}, seed=7): "
+                f"{path}: {shown}")
         written = read_aggregate_csv(out / "aggregate.csv")
         assert [r["error"] for r in written] == [r["error"] for r in rows]

@@ -100,11 +100,6 @@ class TestReports:
             f"conn={r['conn']} perc={r['perc']} ssr={r['ssr']} sea={r['sea']}"
             for r in rows
         ]
-        plot = [b"x,series,value"] + [
-            f"{r['sigma']},{r['method']}.{m},{r[m]}".encode()
-            for r in rows for m in ("accr", "time", "conn", "perc", "ssr", "sea")
-        ]
-        assert (tmp_path / "plot.csv").read_bytes() == b"\r\n".join(plot) + b"\r\n"
 
     def test_comparison_digits(self, tmp_path):
         base = aggregate_row("omp", "91.2345", "0.123456", "0.654321", "45.6789",
