@@ -22,12 +22,12 @@ x, truth = generate_synthetic(spec)
 K = 8
 
 # the Gram matrix of unit columns holds cosine similarities; each point is
-# scored by the mean similarity to its K-1 nearest neighbors
+# scored by the mean similarity to its K-1 nearest neighbors, and the scores
+# are rescaled so the most isolated point gets 0 and the densest K
 gram = gram_matrix(x)
 scores = neighborhood_scores(x, K, gram=gram)
-print(f"raw neighborhood means: [{scores.min_d:.4f}, {scores.max_d:.4f}]")
-print(f"rescaled to [0, {K}]:    "
-      f"[{scores.normalized.min():.3f}, {scores.normalized.max():.3f}]")
+quartiles = ", ".join(f"{q:.3f}" for q in np.percentile(scores, [0, 25, 50, 75, 100]))
+print(f"scores in [0, {K}], min/quartiles/max: {quartiles}")
 
 budgets = compute_k_array(x, K, gram=gram)
 sizes = budgets.sizes

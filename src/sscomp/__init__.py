@@ -3,7 +3,6 @@ dictionary budgets selected from the data's neighborhood structure."""
 
 from .adaptive import (
     KArray,
-    NeighborhoodScore,
     compute_k_array,
     gram_matrix,
     neighborhood_scores,
@@ -56,7 +55,6 @@ __all__ = [
     "KArray",
     "Labels",
     "MetricsReport",
-    "NeighborhoodScore",
     "SweepSpec",
     "SyntheticSpec",
     "accuracy",

@@ -26,52 +26,12 @@ PARTITION_ROWS = 64
 UNIT_NORM_TOL = 1e-9
 
 __all__ = [
-    "NeighborhoodScore",
     "KArray",
     "Gram",
     "gram_matrix",
     "neighborhood_scores",
     "compute_k_array",
 ]
-
-
-@dataclass(frozen=True)
-class NeighborhoodScore:
-    """Neighborhood density summary per point.
-
-    ``raw_mean[i]`` is the mean cosine similarity between point i and its
-    k-1 nearest neighbors (self excluded). ``normalized`` rescales those
-    means to [0, base_k] via
-
-        normalized = base_k * (raw_mean - min_d) / (max_d - min_d)
-
-    so the densest point scores base_k and the most isolated scores 0.
-    ``base_k`` is the k of :func:`neighborhood_scores`, an integer of at
-    least 2.
-    """
-
-    raw_mean: np.ndarray
-    max_d: float
-    min_d: float
-    normalized: np.ndarray
-    base_k: int
-
-    def __post_init__(self):
-        check_integer(self.base_k, "base_k", 2)
-        raw = np.array(self.raw_mean, dtype=np.float64)
-        norm = np.array(self.normalized, dtype=np.float64)
-        if raw.ndim != 1 or norm.shape != raw.shape:
-            raise ValueError("raw_mean and normalized must be 1-d vectors of equal length")
-        if self.min_d > self.max_d:
-            raise ValueError("min_d must not exceed max_d")
-        if raw.min() < self.min_d or raw.max() > self.max_d:
-            raise ValueError("raw_mean entries must lie in [min_d, max_d]")
-        if norm.min() < 0.0 or norm.max() > self.base_k:
-            raise ValueError(f"normalized entries must lie in [0, {self.base_k}]")
-        raw.flags.writeable = False
-        norm.flags.writeable = False
-        object.__setattr__(self, "raw_mean", raw)
-        object.__setattr__(self, "normalized", norm)
 
 
 @dataclass(frozen=True)
@@ -180,15 +140,19 @@ def checked_gram(x: DataMatrix, gram: Gram | None) -> Gram:
 
 def neighborhood_scores(
     x: DataMatrix, k: int, gram: Gram | None = None
-) -> NeighborhoodScore:
+) -> np.ndarray:
     """Score each point by the mean similarity to its k-1 nearest neighbors.
 
     Each Gram row is sorted descending; the first entry is the point's
     self-similarity (exactly 1 for unit columns) and is dropped, the next
-    k-1 entries are averaged. Scores are then min-max rescaled to
-    [0, k]. When every point has the same raw score the rescaling is
-    undefined and all scores are pinned at the neutral midpoint k/2, which
-    downstream yields uniform budgets.
+    k-1 entries are averaged. Those means are then min-max rescaled to
+    [0, k], so the densest point scores k and the most isolated 0. When
+    every point has the same mean the rescaling is undefined and all scores
+    are pinned at the neutral midpoint k/2, which downstream yields uniform
+    budgets. ``k`` is an integer in [2, N-1].
+
+    Returns the scores as a new float64 vector of length N, owned by the
+    caller.
 
     A passed ``gram`` must be a :class:`Gram` of N x N (see
     :func:`checked_gram`); without one the data must have unit columns.
@@ -217,23 +181,21 @@ def neighborhood_scores(
         top[lo:lo + j.size] = block[:, x.n - k:]
     ranked = -np.sort(-top, axis=1)
     raw = ranked[:, 1:k].mean(axis=1)
-    max_d = float(raw.max())
-    min_d = float(raw.min())
+    min_d, max_d = raw.min(), raw.max()
     if max_d == min_d:
-        normalized = np.full(x.n, k / 2.0)
-    else:
-        # form the ratio first: it is <= 1 exactly, so scaling by k cannot
-        # overshoot the [0, k] bound the way k*(raw-min)/(max-min) can
-        normalized = k * ((raw - min_d) / (max_d - min_d))
-    return NeighborhoodScore(raw, max_d, min_d, normalized, k)
+        return np.full(x.n, k / 2.0)
+    # form the ratio first: it is <= 1 exactly, so scaling by k cannot
+    # overshoot the [0, k] bound the way k*(raw-min)/(max-min) can
+    return k * ((raw - min_d) / (max_d - min_d))
 
 
 def compute_k_array(
     x: DataMatrix, k: int, gram: Gram | None = None
 ) -> KArray:
-    """Turn neighborhood scores into integer budgets centered on k.
+    """Turn the scores of :func:`neighborhood_scores` into integer budgets
+    centered on k.
 
-    budgets = k - round(mean(normalized)) + round(normalized)
+    budgets = k - round(mean(scores)) + round(scores)
 
     The constant offset keeps the mean of these unclamped budgets within 1
     of k while the per-point term spreads budgets with density: dense-core
@@ -244,7 +206,7 @@ def compute_k_array(
     budgets clamped at 28.
     """
     scores = neighborhood_scores(x, k, gram=gram)
-    per_point = round_half_away_from_zero(scores.normalized)
-    offset = k - round_half_away_from_zero(float(scores.normalized.mean()))
+    per_point = round_half_away_from_zero(scores)
+    offset = k - round_half_away_from_zero(float(scores.mean()))
     sizes = np.clip(offset + per_point, 1, x.n - 2)
     return KArray(sizes, k)

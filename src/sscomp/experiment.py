@@ -392,12 +392,19 @@ def write_aggregate_csv(rows: list[dict], path) -> None:
 
 
 def read_aggregate_csv(path) -> list[dict]:
+    """The rows of an aggregate CSV, read as UTF-8 with an optional
+    byte-order mark. A file that lacks an aggregate column, holds bytes that
+    are not UTF-8 or a field longer than the csv module allows raises
+    ValueError naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: not an aggregate CSV, missing columns {missing}")
-        return list(reader)
+        try:
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: not an aggregate CSV, missing columns {missing}")
+            return list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _row_key(row: dict):

@@ -93,14 +93,8 @@ def normalized_laplacian(a: AffinityMatrix) -> sparse.csr_array:
     every graph; callers that need "disconnected iff eigenvalue 0"
     semantics must treat isolated vertices themselves.
     """
-    return _laplacian(a.values)
-
-
-def _laplacian(w: sparse.csr_array) -> sparse.csr_array:
-    """:func:`normalized_laplacian` of weights ``w`` that are not checked
-    again: square, symmetric, nonnegative and zero on the diagonal, such as
-    an affinity's values or a symmetric index slice of them."""
-    n = w.shape[0]
+    w = a.values
+    n = a.n
     step = max(1, ROW_BLOCK_ENTRIES // max(n, 1))
     degrees = np.empty(n)
     for i in range(0, n, step):

@@ -153,14 +153,14 @@ def test_criterion_04_budget_selector_contract():
         k = int(rng.integers(2, min(12, n - 1) + 1))
 
         scores = neighborhood_scores(x, k)
-        assert scores.normalized.min() >= 0.0
-        assert scores.normalized.max() <= k
+        assert scores.min() >= 0.0
+        assert scores.max() <= k
 
         budgets = compute_k_array(x, k)
         assert budgets.sizes.min() >= 1
 
-        per_point = round_half_away_from_zero(scores.normalized)
-        offset = k - round_half_away_from_zero(float(scores.normalized.mean()))
+        per_point = round_half_away_from_zero(scores)
+        offset = k - round_half_away_from_zero(float(scores.mean()))
         pre_clamp = offset + per_point
         assert abs(float(pre_clamp.mean()) - k) <= 1.0
 

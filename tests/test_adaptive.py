@@ -9,7 +9,6 @@ from sscomp import DataMatrix, SyntheticSpec, generate_synthetic, normalize_colu
 from sscomp.adaptive import (
     PARTITION_ROWS,
     KArray,
-    NeighborhoodScore,
     checked_gram,
     compute_k_array,
     gram_matrix,
@@ -71,45 +70,40 @@ class TestNeighborhoodScores:
     def test_duplicate_pair_plus_orthogonal(self):
         # hand-computed: raw means (1, 1, 0); rescaled to (2, 2, 0) at k=2
         scores = neighborhood_scores(three_point_matrix(), 2)
-        np.testing.assert_allclose(scores.raw_mean, [1.0, 1.0, 0.0], atol=1e-15)
-        assert scores.max_d == pytest.approx(1.0)
-        assert scores.min_d == pytest.approx(0.0)
-        np.testing.assert_allclose(scores.normalized, [2.0, 2.0, 0.0], atol=1e-14)
+        assert scores.dtype == np.float64 and scores.shape == (3,)
+        np.testing.assert_allclose(scores, [2.0, 2.0, 0.0], atol=1e-14)
 
     def test_endpoints_map_to_zero_and_k(self, unit_matrix):
         x = unit_matrix(5, 20, seed=3)
+        means, *_ = k_array_reference(x.values, 6)
         scores = neighborhood_scores(x, 6)
-        lo = int(np.argmin(scores.raw_mean))
-        hi = int(np.argmax(scores.raw_mean))
-        assert scores.normalized[lo] == 0.0
-        assert scores.normalized[hi] == 6.0
+        assert scores[np.argmin(means)] == 0.0
+        assert scores[np.argmax(means)] == 6.0
 
     def test_degenerate_equal_scores_pin_midpoint(self):
         # all points identical: every off-diagonal cosine is the same float,
-        # so max_d == min_d and the rescaling is undefined
+        # so every raw mean is equal and the rescaling is undefined
         x = identical_points(6)
-        scores = neighborhood_scores(x, 4)
-        assert scores.max_d == scores.min_d
-        np.testing.assert_array_equal(scores.normalized, np.full(6, 2.0))
+        np.testing.assert_array_equal(neighborhood_scores(x, 4), np.full(6, 2.0))
 
     def test_matches_reference_on_random_input(self, unit_matrix):
         for seed in range(5):
             x = unit_matrix(7, 25, seed=seed)
             k = 5 + seed
-            means, normalized, _, _ = k_array_reference(x.values, k)
-            scores = neighborhood_scores(x, k)
-            np.testing.assert_allclose(scores.raw_mean, means, atol=1e-12)
-            np.testing.assert_allclose(scores.normalized, normalized, atol=1e-10)
+            _, normalized, _, _ = k_array_reference(x.values, k)
+            np.testing.assert_allclose(neighborhood_scores(x, k), normalized, atol=1e-10)
 
     @pytest.mark.parametrize("n", [PARTITION_ROWS - 1, PARTITION_ROWS + 1, 2 * PARTITION_ROWS + 3])
     def test_row_blocks_match_whole_row_sort_bitwise(self, unit_matrix, n):
         # rows are partitioned a block at a time: across block edges the
-        # means must equal those of sorting every whole Gram row
+        # scores must equal the min-max rescale of the means of sorting
+        # every whole Gram row
         x = unit_matrix(6, n, seed=n)
         k = 9
         ranked = -np.sort(-gram_matrix(x).values, axis=1)
-        expected = ranked[:, 1:k].mean(axis=1)
-        assert neighborhood_scores(x, k).raw_mean.tobytes() == expected.tobytes()
+        means = ranked[:, 1:k].mean(axis=1)
+        expected = k * ((means - means.min()) / (means.max() - means.min()))
+        assert neighborhood_scores(x, k).tobytes() == expected.tobytes()
 
     def test_k_bounds(self, unit_matrix):
         x = unit_matrix(4, 8, seed=0)
@@ -127,14 +121,6 @@ class TestNeighborhoodScores:
     def test_requires_unit_columns(self):
         with pytest.raises(ValueError, match="unit-normalized"):
             neighborhood_scores(DataMatrix(np.eye(3) * 2), 2)
-
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError, match="min_d"):
-            NeighborhoodScore(np.array([0.5]), max_d=0.4, min_d=0.0,
-                              normalized=np.array([0.1]), base_k=2)
-        with pytest.raises(ValueError, match=r"\[0, 2\]"):
-            NeighborhoodScore(np.array([0.5]), max_d=1.0, min_d=0.0,
-                              normalized=np.array([3.0]), base_k=2)
 
 
 class TestKArrayType:
@@ -228,8 +214,8 @@ class TestComputeKArray:
             x = unit_matrix(5, 30, seed=100 + seed)
             k = 3 + seed
             scores = neighborhood_scores(x, k)
-            offset = k - round_half_away_from_zero(float(scores.normalized.mean()))
-            pre_clamp = offset + round_half_away_from_zero(scores.normalized)
+            offset = k - round_half_away_from_zero(float(scores.mean()))
+            pre_clamp = offset + round_half_away_from_zero(scores)
             assert abs(pre_clamp.mean() - k) <= 1.0
 
     def test_rotation_invariance(self, unit_matrix):

@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import unreadable_csvs
+from conftest import UNREADABLE_CSVS, unreadable_csvs
 
 from sscomp import ExperimentConfig, MetricsReport, generate_synthetic, SyntheticSpec
 from sscomp.cli import main
 from sscomp.data import save_csv
 from sscomp.experiment import (
+    CSV_COLUMNS,
     METRIC_FORMATS,
     aggregate_reports,
     mean_metrics,
@@ -25,6 +26,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the unreadable dataset files as aggregates: the field-limit case keeps the
+# aggregate header, so that it fails on its data cell and not on the columns
+UNREADABLE_AGGREGATES = {
+    **UNREADABLE_CSVS,
+    "field-limit": (f"{','.join(CSV_COLUMNS)}\n{'9' * 200_000}\n".encode(),
+                    "field larger than field limit"),
+}
 
 
 class TestCluster:
@@ -291,6 +301,16 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(tmp_path / "nope.csv"))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("content, shown", list(UNREADABLE_AGGREGATES.values()),
+                             ids=list(UNREADABLE_AGGREGATES))
+    def test_unreadable_aggregate_is_one_error_line(self, capsys, tmp_path, content, shown):
+        path = tmp_path / "aggregate.csv"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "compare", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: {shown}")
+        assert len(err.splitlines()) == 1
 
 
 class TestKArray:

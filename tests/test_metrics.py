@@ -23,7 +23,7 @@ from sscomp.metrics import (
     subspace_preserving_rate,
 )
 from sscomp.omp import CoefMatrix, ssc_omp
-from sscomp.spectral import AffinityMatrix, _laplacian, build_affinity
+from sscomp.spectral import AffinityMatrix, build_affinity, normalized_laplacian
 
 
 def labels(values):
@@ -194,7 +194,7 @@ def connectivity_per_cluster(a: AffinityMatrix, truth: Labels) -> float:
         if members.size < 2 or connected_components(sub, directed=False,
                                                      return_labels=False) > 1:
             return 0.0
-        lap = _laplacian(sub).toarray()
+        lap = normalized_laplacian(AffinityMatrix(sub)).toarray()
         value = float(eigh(lap, subset_by_index=[1, 1], eigvals_only=True)[0])
         worst = min(worst, max(value, 0.0))
     return worst

@@ -15,7 +15,6 @@ from sscomp import (
     ExperimentConfig,
     KArray,
     Labels,
-    NeighborhoodScore,
     SyntheticSpec,
     add_gaussian_noise,
     blend_gaussian_noise,
@@ -43,8 +42,6 @@ def replacing(record, name):
 INTEGER_ARGUMENTS = {
     "KArray.base_k": (lambda v: KArray(np.full(24, 2), v), "base_k", 1),
     "neighborhood_scores.k": (lambda v: neighborhood_scores(POINTS, v), "k", 2),
-    "NeighborhoodScore.base_k": (lambda v: NeighborhoodScore(np.array([0.5]), 1.0, 0.0,
-                                                             np.array([0.1]), v), "base_k", 2),
     **{f"SyntheticSpec.{name}": (replacing(SPEC, name), name, low) for name, low in (
         ("n_subspaces", 1), ("subspace_dim", 1), ("ambient_dim", 1),
         ("points_per_subspace", 1), ("rng_seed", 0))},
